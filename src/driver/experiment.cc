@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,6 +53,21 @@ machineConfigFor(const ExperimentConfig &cfg)
     return mc;
 }
 
+/** Short TPC-C placement name, as labels and fingerprints spell it. */
+const char *
+placementName(workloads::tpcc::Placement p)
+{
+    switch (p) {
+    case workloads::tpcc::Placement::All:
+        return "ALL";
+    case workloads::tpcc::Placement::Each:
+        return "EACH";
+    case workloads::tpcc::Placement::PerWarehouse:
+        return "PERW";
+    }
+    return "?";
+}
+
 } // namespace
 
 void
@@ -67,17 +83,10 @@ configLabel(const ExperimentConfig &cfg)
         return cfg.label;
     std::string s = cfg.workload;
     if (cfg.workload == "TPCC" || cfg.workload == "MTPCC") {
-        switch (cfg.placement) {
-        case workloads::tpcc::Placement::All:
-            s += ".ALL";
-            break;
-        case workloads::tpcc::Placement::Each:
-            s += ".EACH";
-            break;
-        case workloads::tpcc::Placement::PerWarehouse:
-            s += ".PERW" + std::to_string(cfg.tpcc_warehouses);
-            break;
-        }
+        s += ".";
+        s += placementName(cfg.placement);
+        if (cfg.placement == workloads::tpcc::Placement::PerWarehouse)
+            s += std::to_string(cfg.tpcc_warehouses);
     } else if (cfg.workload != "LHT") { // LHT: one pool, no pattern
         s += ".";
         s += workloads::patternName(cfg.pattern);
@@ -117,17 +126,7 @@ traceFingerprint(const ExperimentConfig &cfg)
     std::string s = "poat-fpr v2 workload=" + cfg.workload;
     if (cfg.workload == "TPCC" || cfg.workload == "MTPCC") {
         s += " placement=";
-        switch (cfg.placement) {
-        case workloads::tpcc::Placement::All:
-            s += "ALL";
-            break;
-        case workloads::tpcc::Placement::Each:
-            s += "EACH";
-            break;
-        case workloads::tpcc::Placement::PerWarehouse:
-            s += "PERW";
-            break;
-        }
+        s += placementName(cfg.placement);
         s += " tpcc_scale=" + std::to_string(cfg.tpcc_scale_pct);
         s += " txns=" + std::to_string(cfg.tpcc_txns);
         s += " warehouses=" + std::to_string(cfg.tpcc_warehouses);
@@ -192,6 +191,11 @@ void
 executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
                 ExperimentResult &res)
 {
+    workloads::WorkloadConfig wc; // LHT and the microbenchmarks
+    wc.pattern = cfg.pattern;
+    wc.transactions = cfg.transactions;
+    wc.seed = cfg.seed;
+    wc.scale_pct = cfg.scale_pct;
     if (cfg.workload == "TPCC") {
         workloads::tpcc::TpccWorkload w(cfg.placement,
                                         cfg.tpcc_scale_pct, cfg.seed,
@@ -210,11 +214,6 @@ executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
         res.workload_operations = r.transactions;
         res.engine = w.engineStats();
     } else if (cfg.workload == "LHT") {
-        workloads::WorkloadConfig wc;
-        wc.pattern = cfg.pattern;
-        wc.transactions = cfg.transactions;
-        wc.seed = cfg.seed;
-        wc.scale_pct = cfg.scale_pct;
         workloads::LhtWorkload w(wc, effectiveThreads(cfg),
                                  cfg.sched_seed, cfg.commit_window);
         const auto r = w.run(rt);
@@ -229,11 +228,6 @@ executeWorkload(const ExperimentConfig &cfg, PmemRuntime &rt,
             names.end())
             throw std::invalid_argument("unknown workload: " +
                                         cfg.workload);
-        workloads::WorkloadConfig wc;
-        wc.pattern = cfg.pattern;
-        wc.transactions = cfg.transactions;
-        wc.seed = cfg.seed;
-        wc.scale_pct = cfg.scale_pct;
         const auto r = workloads::makeWorkload(cfg.workload, wc)->run(rt);
         res.workload_checksum = r.checksum;
         res.workload_operations = r.operations;
@@ -465,27 +459,44 @@ makeTimeline(const ExperimentConfig &cfg, sim::Machine &machine,
     return timeline;
 }
 
-} // namespace
-
-namespace detail {
-
-ExperimentResult
-runExperimentLive(const ExperimentConfig &cfg)
+/** What feeds a timing run's machine. */
+enum class Feed
 {
-    ExperimentResult res;
+    Live,    ///< the workload, executing natively
+    Capture, ///< the workload, through a TraceRecorder writing the path
+    Replay,  ///< the trace at the path
+};
 
-    if (!cfg.timing) {
-        // Profiling-only run: no machine, no cycles — just the library
-        // executing natively with its instruction accounting on.
-        CountingTraceSink sink;
-        PmemRuntime rt(runtimeOptions(cfg), &sink);
-        executeWorkload(cfg, rt, res);
-        StatsRegistry prof;
-        fillFunctionalProfile(cfg, rt, res, prof);
-        mergeRegistry(prof, res.stats);
-        return res;
+/**
+ * The one timing path: build the machine, bracket the run with the
+ * tracer's markers, drive the machine from @p feed, finish the
+ * timeline, and export metrics, CPI stack and stats. The functional
+ * profile comes from the runtime, or from the trace's sidecar on replay.
+ */
+ExperimentResult
+runTimed(const ExperimentConfig &cfg, Feed feed, const std::string &path)
+{
+    if (!cfg.timing)
+        throw std::invalid_argument(
+            feed == Feed::Capture ? "trace capture requires a timing run"
+                                  : "trace replay requires a timing run");
+    std::optional<trace_io::TraceReplayer> rep;
+    if (feed == Feed::Capture) {
+        std::error_code ec;
+        std::filesystem::create_directories(
+            std::filesystem::path(path).parent_path(), ec);
+        // An unusable directory surfaces as the recorder's open error.
+    } else if (feed == Feed::Replay) {
+        rep.emplace(path);
+        const std::string want = traceFingerprint(cfg);
+        if (rep->fingerprint() != want)
+            throw std::runtime_error(
+                "poat-itrace: " + path + ": fingerprint mismatch: file "
+                "has \"" + rep->fingerprint() + "\", config needs \"" +
+                want + "\"");
     }
 
+    ExperimentResult res;
     sim::Machine machine(machineConfigFor(cfg));
 
     // Per-run tracer: attached for the duration of this run only.
@@ -497,9 +508,21 @@ runExperimentLive(const ExperimentConfig &cfg)
     if (tracer)
         tracer->marker(machine.cycles(), "begin " + label);
 
-    PmemRuntime rt(runtimeOptions(cfg), &machine);
-    const auto timeline = makeTimeline(cfg, machine, &rt);
-    executeWorkload(cfg, rt, res);
+    // The recorder forwards every event to the machine with the exact
+    // dep tags a direct run would pass, so capture-run metrics equal
+    // live-run metrics.
+    std::optional<trace_io::TraceRecorder> rec;
+    if (feed == Feed::Capture)
+        rec.emplace(&machine, path, traceFingerprint(cfg));
+    std::optional<PmemRuntime> rt;
+    if (!rep)
+        rt.emplace(runtimeOptions(cfg),
+                   rec ? static_cast<TraceSink *>(&*rec) : &machine);
+    const auto timeline = makeTimeline(cfg, machine, rt ? &*rt : nullptr);
+    if (rt)
+        executeWorkload(cfg, *rt, res);
+    else
+        rep->replayInto(machine);
 
     if (timeline)
         timeline->finish(machine.cycles());
@@ -509,10 +532,39 @@ runExperimentLive(const ExperimentConfig &cfg)
 
     res.metrics = machine.metrics();
     res.cpi = machine.cpi();
-
     // The run's complete hierarchical telemetry: machine registry plus
     // the software-translation profile and the workload outcome.
     res.stats = machine.stats();
+    if (rep) {
+        applyProfile(rep->profile(), path, res);
+        return res;
+    }
+    StatsRegistry prof;
+    fillFunctionalProfile(cfg, *rt, res, prof);
+    mergeRegistry(prof, res.stats);
+    if (rec) {
+        rec->setProfile(serializeProfile(res, prof));
+        rec->finish();
+    }
+    return res;
+}
+
+} // namespace
+
+namespace detail {
+
+ExperimentResult
+runExperimentLive(const ExperimentConfig &cfg)
+{
+    if (cfg.timing)
+        return runTimed(cfg, Feed::Live, "");
+
+    // Profiling-only run: no machine, no cycles — just the library
+    // executing natively with its instruction accounting on.
+    ExperimentResult res;
+    CountingTraceSink sink;
+    PmemRuntime rt(runtimeOptions(cfg), &sink);
+    executeWorkload(cfg, rt, res);
     StatsRegistry prof;
     fillFunctionalProfile(cfg, rt, res, prof);
     mergeRegistry(prof, res.stats);
@@ -523,87 +575,14 @@ ExperimentResult
 runExperimentCaptured(const ExperimentConfig &cfg,
                       const std::string &path)
 {
-    if (!cfg.timing)
-        throw std::invalid_argument(
-            "trace capture requires a timing run");
-
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path(), ec);
-    // An unusable directory surfaces as the recorder's open error.
-
-    ExperimentResult res;
-    sim::Machine machine(machineConfigFor(cfg));
-    EventTracer *tracer = cfg.tracer;
-    machine.setTracer(tracer);
-    const std::string label = configLabel(cfg);
-    if (tracer)
-        tracer->marker(machine.cycles(), "begin " + label);
-
-    // The recorder forwards every event to the machine with the exact
-    // dep tags a direct run would pass, so capture-run metrics equal
-    // live-run metrics.
-    trace_io::TraceRecorder rec(&machine, path, traceFingerprint(cfg));
-    PmemRuntime rt(runtimeOptions(cfg), &rec);
-    const auto timeline = makeTimeline(cfg, machine, &rt);
-    executeWorkload(cfg, rt, res);
-
-    if (timeline)
-        timeline->finish(machine.cycles());
-    if (tracer)
-        tracer->marker(machine.cycles(), "end " + label);
-    machine.setTracer(nullptr);
-
-    res.metrics = machine.metrics();
-    res.cpi = machine.cpi();
-    res.stats = machine.stats();
-    StatsRegistry prof;
-    fillFunctionalProfile(cfg, rt, res, prof);
-    mergeRegistry(prof, res.stats);
-
-    rec.setProfile(serializeProfile(res, prof));
-    rec.finish();
-    return res;
+    return runTimed(cfg, Feed::Capture, path);
 }
 
 ExperimentResult
 runExperimentReplayed(const ExperimentConfig &cfg,
                       const std::string &path)
 {
-    if (!cfg.timing)
-        throw std::invalid_argument(
-            "trace replay requires a timing run");
-
-    trace_io::TraceReplayer rep(path);
-    const std::string want = traceFingerprint(cfg);
-    if (rep.fingerprint() != want)
-        throw std::runtime_error(
-            "poat-itrace: " + path + ": fingerprint mismatch: file has "
-            "\"" + rep.fingerprint() + "\", config needs \"" + want +
-            "\"");
-
-    ExperimentResult res;
-    sim::Machine machine(machineConfigFor(cfg));
-    EventTracer *tracer = cfg.tracer;
-    machine.setTracer(tracer);
-    const std::string label = configLabel(cfg);
-    if (tracer)
-        tracer->marker(machine.cycles(), "begin " + label);
-
-    const auto timeline = makeTimeline(cfg, machine, nullptr);
-    rep.replayInto(machine);
-
-    if (timeline)
-        timeline->finish(machine.cycles());
-    if (tracer)
-        tracer->marker(machine.cycles(), "end " + label);
-    machine.setTracer(nullptr);
-
-    res.metrics = machine.metrics();
-    res.cpi = machine.cpi();
-    res.stats = machine.stats();
-    applyProfile(rep.profile(), path, res);
-    return res;
+    return runTimed(cfg, Feed::Replay, path);
 }
 
 ExperimentResult

@@ -211,15 +211,6 @@ class Machine : public TraceSink
 
     /**
      * Attach (or detach, with nullptr) an interval timeline sampler.
-     * Binds the sampler's stats source to this machine's registry and
-     * registers the machine-side occupancy gauges ("polb.occupancy",
-     * "pot.outstanding_walks"); the caller adds any runtime-side
-     * gauges afterwards and calls finish() when the run ends. The
-     * sampler observes only — attaching one changes no simulated
-     * state, so metrics and stats stay bit-identical.
-     */
-    /**
-     * Attach (or detach, with nullptr) an interval timeline sampler.
      * With @p per_core_lanes set (and more than one core), also
      * registers per-core blocked-reason gauges
      * ("sched.core.<i>.blocked.<reason>.total", cumulative cycles) so

@@ -29,35 +29,21 @@ fnv1a(uint64_t hash, const uint8_t *data, size_t size)
     return hash;
 }
 
+template <typename T>
 void
-putLe32(uint8_t *out, uint32_t v)
+putLe(uint8_t *out, T v)
 {
-    for (int i = 0; i < 4; ++i)
+    for (size_t i = 0; i < sizeof(T); ++i)
         out[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-void
-putLe64(uint8_t *out, uint64_t v)
+template <typename T>
+T
+getLe(const uint8_t *in)
 {
-    for (int i = 0; i < 8; ++i)
-        out[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint32_t
-getLe32(const uint8_t *in)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(in[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-getLe64(const uint8_t *in)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(in[i]) << (8 * i);
+    T v = 0;
+    for (size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(in[i]) << (8 * i);
     return v;
 }
 
@@ -68,66 +54,6 @@ badFile(const std::string &path, const std::string &why)
 }
 
 } // namespace
-
-const char *
-eventKindName(uint8_t kind)
-{
-    switch (static_cast<EventKind>(kind)) {
-      case EventKind::Alu:
-        return "alu";
-      case EventKind::Branch:
-        return "branch";
-      case EventKind::Load:
-        return "load";
-      case EventKind::Store:
-        return "store";
-      case EventKind::NvLoad:
-        return "nvLoad";
-      case EventKind::NvStore:
-        return "nvStore";
-      case EventKind::Clwb:
-        return "clwb";
-      case EventKind::NvClwb:
-        return "nvClwb";
-      case EventKind::Fence:
-        return "fence";
-      case EventKind::PoolMapped:
-        return "poolMapped";
-      case EventKind::PoolUnmapped:
-        return "poolUnmapped";
-      case EventKind::SwTranslateBegin:
-        return "swTranslateBegin";
-      case EventKind::SwTranslateEnd:
-        return "swTranslateEnd";
-      case EventKind::TxBegin:
-        return "txBegin";
-      case EventKind::TxCommit:
-        return "txCommit";
-      case EventKind::TxAbort:
-        return "txAbort";
-      case EventKind::OpName:
-        return "opName";
-      case EventKind::CoreSwitch:
-        return "coreSwitch";
-      case EventKind::LockWait:
-        return "lockWait";
-      case EventKind::LockAcquired:
-        return "lockAcquired";
-      case EventKind::LockReleased:
-        return "lockReleased";
-      case EventKind::LockDeadlock:
-        return "lockDeadlock";
-      case EventKind::OpSet:
-        return "opSet";
-      case EventKind::WorkerDone:
-        return "workerDone";
-      case EventKind::CommitJoin:
-        return "commitJoin";
-      case EventKind::CommitBatch:
-        return "commitBatch";
-    }
-    return "?";
-}
 
 void
 appendVarint(std::vector<uint8_t> &buf, uint64_t v)
@@ -175,8 +101,8 @@ TraceRecorder::TraceRecorder(TraceSink *inner, std::string path,
 
     uint8_t header[kHeaderSize] = {};
     std::memcpy(header, kMagic, sizeof(kMagic));
-    putLe32(header + 8, kFormatVersion);
-    putLe32(header + 12, static_cast<uint32_t>(fingerprint_.size()));
+    putLe(header + 8, kFormatVersion);
+    putLe(header + 12, static_cast<uint32_t>(fingerprint_.size()));
     // Event count, record bytes, and record hash are patched by
     // finish(); leave zeros.
     if (std::fwrite(header, 1, kHeaderSize, f_) != kHeaderSize ||
@@ -210,15 +136,6 @@ TraceRecorder::flushBuf()
 }
 
 void
-TraceRecorder::begin(EventKind kind)
-{
-    if (buf_.size() >= kFlushThreshold)
-        flushBuf();
-    buf_.push_back(static_cast<uint8_t>(kind));
-    ++events_;
-}
-
-void
 TraceRecorder::finish()
 {
     if (finished_)
@@ -228,11 +145,11 @@ TraceRecorder::finish()
     flushBuf();
 
     uint8_t len[4];
-    putLe32(len, static_cast<uint32_t>(profile_.size()));
+    putLe(len, static_cast<uint32_t>(profile_.size()));
     uint8_t patch[24];
-    putLe64(patch + 0, events_);
-    putLe64(patch + 8, recordBytes_);
-    putLe64(patch + 16, hash_);
+    putLe(patch + 0, events_);
+    putLe(patch + 8, recordBytes_);
+    putLe(patch + 16, hash_);
     const bool ok =
         std::fwrite(len, 1, sizeof(len), f_) == sizeof(len) &&
         std::fwrite(profile_.data(), 1, profile_.size(), f_) ==
@@ -263,271 +180,34 @@ TraceRecorder::abandon() noexcept
         std::remove(tmpPath_.c_str());
 }
 
-void
-TraceRecorder::alu(uint32_t count, uint64_t dep)
-{
-    dep = clampSeq(dep);
-    begin(EventKind::Alu);
-    put(count);
-    put(dep);
-    if (inner_)
-        inner_->alu(count, innerDep(dep));
-}
-
-void
-TraceRecorder::branch(bool taken, uint64_t pc, uint64_t dep)
-{
-    dep = clampSeq(dep);
-    begin(EventKind::Branch);
-    put(taken ? 1 : 0);
-    put(pc);
-    put(dep);
-    if (inner_)
-        inner_->branch(taken, pc, innerDep(dep));
-}
-
 uint64_t
-TraceRecorder::load(uint64_t vaddr, uint64_t dep, uint64_t dep2)
+TraceRecorder::event(const Event &in)
 {
-    dep = clampSeq(dep);
-    dep2 = clampSeq(dep2);
-    begin(EventKind::Load);
-    put(vaddr);
-    put(dep);
-    put(dep2);
-    const uint64_t tag =
-        inner_ ? inner_->load(vaddr, innerDep(dep), innerDep(dep2)) : 0;
+    const KindInfo &k = kindInfo(in.kind);
+    Event e = in;
+    if (buf_.size() >= kFlushThreshold)
+        flushBuf();
+    buf_.push_back(static_cast<uint8_t>(e.kind));
+    ++events_;
+    for (unsigned i = 0; i < k.operands; ++i) {
+        uint64_t &v = e.operands[i];
+        const bool dep = (k.deps >> i) & 1;
+        if (dep && v >= seqToTag_.size())
+            v = kNoDep; // not a sequence number we handed out
+        put(v);
+        if (dep)
+            v = seqToTag_[v];
+    }
+    if (k.named) {
+        const size_t len = std::strlen(e.name);
+        put(len);
+        buf_.insert(buf_.end(), e.name, e.name + len);
+    }
+    const uint64_t tag = inner_ ? deliver(*inner_, e) : 0;
+    if (!k.tag)
+        return 0;
     seqToTag_.push_back(tag);
     return seqToTag_.size() - 1;
-}
-
-void
-TraceRecorder::store(uint64_t vaddr, uint64_t dep)
-{
-    dep = clampSeq(dep);
-    begin(EventKind::Store);
-    put(vaddr);
-    put(dep);
-    if (inner_)
-        inner_->store(vaddr, innerDep(dep));
-}
-
-uint64_t
-TraceRecorder::nvLoad(ObjectID oid, uint64_t dep, uint64_t dep2)
-{
-    dep = clampSeq(dep);
-    dep2 = clampSeq(dep2);
-    begin(EventKind::NvLoad);
-    put(oid.raw);
-    put(dep);
-    put(dep2);
-    const uint64_t tag =
-        inner_ ? inner_->nvLoad(oid, innerDep(dep), innerDep(dep2)) : 0;
-    seqToTag_.push_back(tag);
-    return seqToTag_.size() - 1;
-}
-
-void
-TraceRecorder::nvStore(ObjectID oid, uint64_t dep)
-{
-    dep = clampSeq(dep);
-    begin(EventKind::NvStore);
-    put(oid.raw);
-    put(dep);
-    if (inner_)
-        inner_->nvStore(oid, innerDep(dep));
-}
-
-void
-TraceRecorder::clwb(uint64_t vaddr)
-{
-    begin(EventKind::Clwb);
-    put(vaddr);
-    if (inner_)
-        inner_->clwb(vaddr);
-}
-
-void
-TraceRecorder::nvClwb(ObjectID oid)
-{
-    begin(EventKind::NvClwb);
-    put(oid.raw);
-    if (inner_)
-        inner_->nvClwb(oid);
-}
-
-void
-TraceRecorder::fence()
-{
-    begin(EventKind::Fence);
-    if (inner_)
-        inner_->fence();
-}
-
-void
-TraceRecorder::poolMapped(uint32_t pool_id, uint64_t vbase, uint64_t size)
-{
-    begin(EventKind::PoolMapped);
-    put(pool_id);
-    put(vbase);
-    put(size);
-    if (inner_)
-        inner_->poolMapped(pool_id, vbase, size);
-}
-
-void
-TraceRecorder::poolUnmapped(uint32_t pool_id)
-{
-    begin(EventKind::PoolUnmapped);
-    put(pool_id);
-    if (inner_)
-        inner_->poolUnmapped(pool_id);
-}
-
-void
-TraceRecorder::swTranslateBegin()
-{
-    begin(EventKind::SwTranslateBegin);
-    if (inner_)
-        inner_->swTranslateBegin();
-}
-
-void
-TraceRecorder::swTranslateEnd()
-{
-    begin(EventKind::SwTranslateEnd);
-    if (inner_)
-        inner_->swTranslateEnd();
-}
-
-void
-TraceRecorder::txBegin(uint32_t pool_id, uint32_t op)
-{
-    begin(EventKind::TxBegin);
-    put(pool_id);
-    put(op);
-    if (inner_)
-        inner_->txBegin(pool_id, op);
-}
-
-void
-TraceRecorder::txCommit(uint32_t pool_id)
-{
-    begin(EventKind::TxCommit);
-    put(pool_id);
-    if (inner_)
-        inner_->txCommit(pool_id);
-}
-
-void
-TraceRecorder::txAbort(uint32_t pool_id)
-{
-    begin(EventKind::TxAbort);
-    put(pool_id);
-    if (inner_)
-        inner_->txAbort(pool_id);
-}
-
-void
-TraceRecorder::coreSwitch(uint32_t core)
-{
-    begin(EventKind::CoreSwitch);
-    put(core);
-    if (inner_)
-        inner_->coreSwitch(core);
-}
-
-void
-TraceRecorder::opSet(uint32_t op)
-{
-    begin(EventKind::OpSet);
-    put(op);
-    if (inner_)
-        inner_->opSet(op);
-}
-
-void
-TraceRecorder::lockWait(uint32_t worker, uint64_t key, uint8_t mode,
-                        uint32_t edges)
-{
-    begin(EventKind::LockWait);
-    put(worker);
-    put(key);
-    put(mode);
-    put(edges);
-    if (inner_)
-        inner_->lockWait(worker, key, mode, edges);
-}
-
-void
-TraceRecorder::lockAcquired(uint32_t worker, uint64_t key, uint8_t mode)
-{
-    begin(EventKind::LockAcquired);
-    put(worker);
-    put(key);
-    put(mode);
-    if (inner_)
-        inner_->lockAcquired(worker, key, mode);
-}
-
-void
-TraceRecorder::lockReleased(uint32_t worker, uint64_t key)
-{
-    begin(EventKind::LockReleased);
-    put(worker);
-    put(key);
-    if (inner_)
-        inner_->lockReleased(worker, key);
-}
-
-void
-TraceRecorder::lockDeadlock(uint32_t worker, uint64_t key)
-{
-    begin(EventKind::LockDeadlock);
-    put(worker);
-    put(key);
-    if (inner_)
-        inner_->lockDeadlock(worker, key);
-}
-
-void
-TraceRecorder::workerDone(uint32_t worker)
-{
-    begin(EventKind::WorkerDone);
-    put(worker);
-    if (inner_)
-        inner_->workerDone(worker);
-}
-
-void
-TraceRecorder::commitJoin(uint32_t worker)
-{
-    begin(EventKind::CommitJoin);
-    put(worker);
-    if (inner_)
-        inner_->commitJoin(worker);
-}
-
-void
-TraceRecorder::commitBatch(uint32_t members, uint32_t elided)
-{
-    begin(EventKind::CommitBatch);
-    put(members);
-    put(elided);
-    if (inner_)
-        inner_->commitBatch(members, elided);
-}
-
-void
-TraceRecorder::opName(uint32_t op, const char *name)
-{
-    const size_t len = std::strlen(name);
-    begin(EventKind::OpName);
-    put(op);
-    put(len);
-    buf_.insert(buf_.end(), name, name + len);
-    if (inner_)
-        inner_->opName(op, name);
 }
 
 // --------------------------------------------------------------------
@@ -553,16 +233,16 @@ TraceReplayer::TraceReplayer(const std::string &path) : path_(path)
         badFile(path, "truncated header");
     if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0)
         badFile(path, "not a poat-itrace file (bad magic)");
-    const uint32_t version = getLe32(file.data() + 8);
+    const uint32_t version = getLe<uint32_t>(file.data() + 8);
     if (version != kFormatVersion)
         badFile(path,
                 "unsupported format version " + std::to_string(version) +
                     " (this build reads version " +
                     std::to_string(kFormatVersion) + ")");
-    const uint32_t fpr_len = getLe32(file.data() + 12);
-    eventCount_ = getLe64(file.data() + 16);
-    const uint64_t record_bytes = getLe64(file.data() + 24);
-    const uint64_t record_hash = getLe64(file.data() + 32);
+    const uint32_t fpr_len = getLe<uint32_t>(file.data() + 12);
+    eventCount_ = getLe<uint64_t>(file.data() + 16);
+    const uint64_t record_bytes = getLe<uint64_t>(file.data() + 24);
+    const uint64_t record_hash = getLe<uint64_t>(file.data() + 32);
 
     const size_t records_at = kHeaderSize + fpr_len;
     if (records_at > file.size() ||
@@ -575,7 +255,7 @@ TraceReplayer::TraceReplayer(const std::string &path) : path_(path)
     const size_t trailer_at = records_at + static_cast<size_t>(record_bytes);
     if (file.size() - trailer_at < 4)
         badFile(path, "missing profile trailer");
-    const uint32_t prof_len = getLe32(file.data() + trailer_at);
+    const uint32_t prof_len = getLe<uint32_t>(file.data() + trailer_at);
     if (file.size() - trailer_at - 4 != prof_len)
         badFile(path, "trailing garbage after profile");
     profile_.assign(
@@ -606,156 +286,32 @@ TraceReplayer::replayInto(TraceSink &sink) const
         return tags[seq];
     };
 
+    std::string name; // OpName's bytes, alive while it is delivered
     while (pos < n) {
         const uint8_t kind = d[pos++];
-        switch (static_cast<EventKind>(kind)) {
-          case EventKind::Alu: {
-            const uint64_t count = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.alu(static_cast<uint32_t>(count), dep(dp));
-            break;
-          }
-          case EventKind::Branch: {
-            const uint64_t taken = readVarint(d, n, &pos);
-            const uint64_t pc = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.branch(taken != 0, pc, dep(dp));
-            break;
-          }
-          case EventKind::Load: {
-            const uint64_t vaddr = readVarint(d, n, &pos);
-            const uint64_t d1 = readVarint(d, n, &pos);
-            const uint64_t d2 = readVarint(d, n, &pos);
-            tags.push_back(sink.load(vaddr, dep(d1), dep(d2)));
-            break;
-          }
-          case EventKind::Store: {
-            const uint64_t vaddr = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.store(vaddr, dep(dp));
-            break;
-          }
-          case EventKind::NvLoad: {
-            const uint64_t oid = readVarint(d, n, &pos);
-            const uint64_t d1 = readVarint(d, n, &pos);
-            const uint64_t d2 = readVarint(d, n, &pos);
-            tags.push_back(
-                sink.nvLoad(ObjectID(oid), dep(d1), dep(d2)));
-            break;
-          }
-          case EventKind::NvStore: {
-            const uint64_t oid = readVarint(d, n, &pos);
-            const uint64_t dp = readVarint(d, n, &pos);
-            sink.nvStore(ObjectID(oid), dep(dp));
-            break;
-          }
-          case EventKind::Clwb:
-            sink.clwb(readVarint(d, n, &pos));
-            break;
-          case EventKind::NvClwb:
-            sink.nvClwb(ObjectID(readVarint(d, n, &pos)));
-            break;
-          case EventKind::Fence:
-            sink.fence();
-            break;
-          case EventKind::PoolMapped: {
-            const uint64_t pool = readVarint(d, n, &pos);
-            const uint64_t vbase = readVarint(d, n, &pos);
-            const uint64_t size = readVarint(d, n, &pos);
-            sink.poolMapped(static_cast<uint32_t>(pool), vbase, size);
-            break;
-          }
-          case EventKind::PoolUnmapped:
-            sink.poolUnmapped(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
-            break;
-          case EventKind::SwTranslateBegin:
-            sink.swTranslateBegin();
-            break;
-          case EventKind::SwTranslateEnd:
-            sink.swTranslateEnd();
-            break;
-          case EventKind::TxBegin: {
-            const uint64_t pool = readVarint(d, n, &pos);
-            const uint64_t op = readVarint(d, n, &pos);
-            sink.txBegin(static_cast<uint32_t>(pool),
-                         static_cast<uint32_t>(op));
-            break;
-          }
-          case EventKind::TxCommit:
-            sink.txCommit(static_cast<uint32_t>(readVarint(d, n, &pos)));
-            break;
-          case EventKind::TxAbort:
-            sink.txAbort(static_cast<uint32_t>(readVarint(d, n, &pos)));
-            break;
-          case EventKind::CoreSwitch:
-            sink.coreSwitch(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
-            break;
-          case EventKind::OpSet:
-            sink.opSet(static_cast<uint32_t>(readVarint(d, n, &pos)));
-            break;
-          case EventKind::LockWait: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            const uint64_t mode = readVarint(d, n, &pos);
-            const uint64_t edges = readVarint(d, n, &pos);
-            sink.lockWait(static_cast<uint32_t>(worker), key,
-                          static_cast<uint8_t>(mode),
-                          static_cast<uint32_t>(edges));
-            break;
-          }
-          case EventKind::LockAcquired: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            const uint64_t mode = readVarint(d, n, &pos);
-            sink.lockAcquired(static_cast<uint32_t>(worker), key,
-                              static_cast<uint8_t>(mode));
-            break;
-          }
-          case EventKind::LockReleased: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            sink.lockReleased(static_cast<uint32_t>(worker), key);
-            break;
-          }
-          case EventKind::LockDeadlock: {
-            const uint64_t worker = readVarint(d, n, &pos);
-            const uint64_t key = readVarint(d, n, &pos);
-            sink.lockDeadlock(static_cast<uint32_t>(worker), key);
-            break;
-          }
-          case EventKind::WorkerDone:
-            sink.workerDone(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
-            break;
-          case EventKind::CommitJoin:
-            sink.commitJoin(
-                static_cast<uint32_t>(readVarint(d, n, &pos)));
-            break;
-          case EventKind::CommitBatch: {
-            const uint64_t members = readVarint(d, n, &pos);
-            const uint64_t elided = readVarint(d, n, &pos);
-            sink.commitBatch(static_cast<uint32_t>(members),
-                             static_cast<uint32_t>(elided));
-            break;
-          }
-          case EventKind::OpName: {
-            const uint64_t op = readVarint(d, n, &pos);
-            const uint64_t len = readVarint(d, n, &pos);
-            if (len > n - pos)
-                badFile(path_, "truncated opName record");
-            std::string name(reinterpret_cast<const char *>(d + pos),
-                             static_cast<size_t>(len));
-            pos += static_cast<size_t>(len);
-            sink.opName(static_cast<uint32_t>(op), name.c_str());
-            break;
-          }
-          default:
+        if (kind < kMinEventKind || kind > kMaxEventKind)
             badFile(path_,
                     "unknown record kind " + std::to_string(kind) +
                         " at offset " + std::to_string(pos - 1));
+        const KindInfo &k = kKinds[kind];
+        Event e{k.kind, {}, nullptr};
+        for (unsigned i = 0; i < k.operands; ++i) {
+            const uint64_t v = readVarint(d, n, &pos);
+            e.operands[i] = ((k.deps >> i) & 1) ? dep(v) : v;
         }
+        if (k.named) {
+            const uint64_t len = readVarint(d, n, &pos);
+            if (len > n - pos)
+                badFile(path_, std::string("truncated ") + k.name +
+                                   " record");
+            name.assign(reinterpret_cast<const char *>(d + pos),
+                        static_cast<size_t>(len));
+            pos += static_cast<size_t>(len);
+            e.name = name.c_str();
+        }
+        const uint64_t tag = deliver(sink, e);
+        if (k.tag)
+            tags.push_back(tag);
         ++events;
     }
     if (events != eventCount_)
@@ -775,8 +331,8 @@ TraceReplayer::matches(const std::string &path,
     uint8_t header[kHeaderSize];
     bool ok = std::fread(header, 1, kHeaderSize, f) == kHeaderSize &&
         std::memcmp(header, kMagic, sizeof(kMagic)) == 0 &&
-        getLe32(header + 8) == kFormatVersion &&
-        getLe32(header + 12) == fingerprint.size();
+        getLe<uint32_t>(header + 8) == kFormatVersion &&
+        getLe<uint32_t>(header + 12) == fingerprint.size();
     if (ok) {
         std::string fpr(fingerprint.size(), '\0');
         ok = std::fread(fpr.data(), 1, fpr.size(), f) == fpr.size() &&

@@ -46,7 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "pmem/trace.h"
+#include "trace_io/event.h"
 
 namespace poat {
 namespace trace_io {
@@ -70,43 +70,6 @@ inline constexpr uint32_t kFormatVersion = 5;
 /** Bytes before the fingerprint (magic + version + 3 patched fields). */
 inline constexpr size_t kHeaderSize = 40;
 
-/** Record kinds, one per TraceSink event. */
-enum class EventKind : uint8_t
-{
-    Alu = 1,      ///< count, dep
-    Branch,       ///< taken, pc, dep
-    Load,         ///< vaddr, dep, dep2 (assigns the next sequence number)
-    Store,        ///< vaddr, dep
-    NvLoad,       ///< oid, dep, dep2 (assigns the next sequence number)
-    NvStore,      ///< oid, dep
-    Clwb,         ///< vaddr
-    NvClwb,       ///< oid
-    Fence,        ///< (no operands)
-    PoolMapped,   ///< pool_id, vbase, size
-    PoolUnmapped, ///< pool_id
-    SwTranslateBegin, ///< (no operands; v2)
-    SwTranslateEnd,   ///< (no operands; v2)
-    TxBegin,          ///< pool_id, op (v3)
-    TxCommit,         ///< pool_id (v3)
-    TxAbort,          ///< pool_id (v3)
-    OpName,           ///< op, name length, raw name bytes (v3)
-    CoreSwitch,       ///< core (v4)
-    LockWait,         ///< worker, key, mode, edges (v5)
-    LockAcquired,     ///< worker, key, mode (v5)
-    LockReleased,     ///< worker, key (v5)
-    LockDeadlock,     ///< worker, key (v5)
-    OpSet,            ///< op (v5)
-    WorkerDone,       ///< worker (v5)
-    CommitJoin,       ///< worker (v5)
-    CommitBatch,      ///< members, elided (v5)
-};
-
-inline constexpr uint8_t kMinEventKind = 1;
-inline constexpr uint8_t kMaxEventKind = 26;
-
-/** Human-readable name of a record kind ("?" if out of range). */
-const char *eventKindName(uint8_t kind);
-
 /** Append @p v LEB128-encoded to @p buf. */
 void appendVarint(std::vector<uint8_t> &buf, uint64_t v);
 
@@ -127,7 +90,7 @@ uint64_t readVarint(const uint8_t *data, size_t size, size_t *pos);
  * inner sink sees exactly the calls (tags included) a direct run would
  * make, so a capture run's metrics equal an uncaptured run's.
  */
-class TraceRecorder : public TraceSink
+class TraceRecorder : public EventSink
 {
   public:
     /**
@@ -161,49 +124,15 @@ class TraceRecorder : public TraceSink
     /** Events recorded so far. */
     uint64_t eventCount() const { return events_; }
 
-    /// @name TraceSink interface
-    /// @{
-    void alu(uint32_t count, uint64_t dep) override;
-    void branch(bool taken, uint64_t pc, uint64_t dep) override;
-    uint64_t load(uint64_t vaddr, uint64_t dep, uint64_t dep2) override;
-    void store(uint64_t vaddr, uint64_t dep) override;
-    uint64_t nvLoad(ObjectID oid, uint64_t dep, uint64_t dep2) override;
-    void nvStore(ObjectID oid, uint64_t dep) override;
-    void clwb(uint64_t vaddr) override;
-    void nvClwb(ObjectID oid) override;
-    void fence() override;
-    void poolMapped(uint32_t pool_id, uint64_t vbase,
-                    uint64_t size) override;
-    void poolUnmapped(uint32_t pool_id) override;
-    void swTranslateBegin() override;
-    void swTranslateEnd() override;
-    void txBegin(uint32_t pool_id, uint32_t op) override;
-    void txCommit(uint32_t pool_id) override;
-    void txAbort(uint32_t pool_id) override;
-    void opName(uint32_t op, const char *name) override;
-    void coreSwitch(uint32_t core) override;
-    void opSet(uint32_t op) override;
-    void lockWait(uint32_t worker, uint64_t key, uint8_t mode,
-                  uint32_t edges) override;
-    void lockAcquired(uint32_t worker, uint64_t key, uint8_t mode) override;
-    void lockReleased(uint32_t worker, uint64_t key) override;
-    void lockDeadlock(uint32_t worker, uint64_t key) override;
-    void workerDone(uint32_t worker) override;
-    void commitJoin(uint32_t worker) override;
-    void commitBatch(uint32_t members, uint32_t elided) override;
-    /// @}
+    /**
+     * Append @p e's record and forward it to the inner sink, clamping
+     * its deps to sequence numbers handed out and translating them to
+     * inner-sink tags. @return the canonical sequence number of a
+     * load-like event (0 otherwise).
+     */
+    uint64_t event(const Event &e) override;
 
   private:
-    /** Bound a caller-supplied dep to a sequence number we handed out. */
-    uint64_t clampSeq(uint64_t seq) const
-    {
-        return seq < seqToTag_.size() ? seq : kNoDep;
-    }
-
-    /** Inner-sink tag for canonical sequence number @p seq. */
-    uint64_t innerDep(uint64_t seq) const { return seqToTag_[seq]; }
-
-    void begin(EventKind kind);
     void put(uint64_t v) { appendVarint(buf_, v); }
     void flushBuf();
 

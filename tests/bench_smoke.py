@@ -42,9 +42,14 @@ sequential bench accepts --contention with a "no multi-core runs"
 note, and a --timeline-cores run leaves the stats report
 byte-identical.
 
+When a trace_dump binary is also given, captures a small fig_cores
+sweep with --trace-cache and checks every trace's census: the per-kind
+counts sum to the header's event count, and the multi-core LHT traces
+list the v5 concurrency kinds (lockAcquired, commitBatch).
+
 Usage: bench_smoke.py <fig9a_speedup_inorder> [<fig11_polb_size>
        [<crash_explore> [<timeline_dump> [<fig_cores>
-       [<contention_report>]]]]]
+       [<contention_report> [<trace_dump>]]]]]]
 """
 
 import json
@@ -396,6 +401,41 @@ def check_contention(bench, fig9a, report_tool):
               "tool round-trips, lanes observer-only" % (present, checked))
 
 
+def check_trace_dump(bench, dump_tool):
+    """trace_dump census of concurrent traces: every record counted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "itrace-cache")
+        run_bench([bench, "--scale=2", "--tpcc-scale=1", "--txns=10",
+                   "--jobs=2", "--trace-cache=" + cache])
+        traces = sorted(f for f in os.listdir(cache) if f.endswith(".itrace"))
+        if not traces:
+            fail("fig_cores --trace-cache captured no traces")
+        multicore = 0
+        for name in traces:
+            out = run_bench([dump_tool, os.path.join(cache, name)]).stdout
+            header, _, census_text = out.partition("records by kind:")
+            events = None
+            for line in header.splitlines():
+                if line.startswith("events:"):
+                    events = int(line.split()[1])
+            census = {}
+            for line in census_text.splitlines():
+                fields = line.split()
+                if len(fields) == 2:
+                    census[fields[0]] = int(fields[1])
+            if events is None or sum(census.values()) != events:
+                fail("%s: census sums to %d, header says %s events"
+                     % (name, sum(census.values()), events))
+            if name.startswith("LHT.") and not name.startswith("LHT.t1."):
+                multicore += 1
+                for kind in ("lockAcquired", "commitBatch"):
+                    if kind not in census:
+                        fail("%s: census lacks %s" % (name, kind))
+        if multicore == 0:
+            fail("no multi-core LHT trace captured")
+        print("OK: trace_dump census complete on %d traces" % len(traces))
+
+
 def check_crash_explore(tool):
     """crash_explore: tiny exploration passes; CLI parsing is strict."""
     proc = run_bench([tool, "--workload=LL", "--steps=8", "--jobs=2"])
@@ -425,10 +465,11 @@ def check_crash_explore(tool):
 
 
 def main():
-    if len(sys.argv) not in (2, 3, 4, 5, 6, 7):
+    if len(sys.argv) not in (2, 3, 4, 5, 6, 7, 8):
         fail("usage: bench_smoke.py <fig9a-binary> [<fig11-binary>"
              " [<crash_explore-binary> [<timeline_dump-binary>"
-             " [<fig_cores-binary> [<contention_report-binary>]]]]]")
+             " [<fig_cores-binary> [<contention_report-binary>"
+             " [<trace_dump-binary>]]]]]]")
     bench = sys.argv[1]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -508,6 +549,8 @@ def main():
         check_timeline(bench, sys.argv[4])
     if len(sys.argv) >= 7:
         check_contention(sys.argv[5], bench, sys.argv[6])
+    if len(sys.argv) >= 8:
+        check_trace_dump(sys.argv[5], sys.argv[7])
 
 
 if __name__ == "__main__":

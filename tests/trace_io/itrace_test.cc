@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the poat-itrace v1 format: varint coding, recorder /
- * replayer roundtrips, dep-tag canonicalization, and the required
- * failure modes (every malformed file must raise std::runtime_error
- * with a descriptive message, never UB).
+ * Unit tests for the poat-itrace v5 format: varint coding, recorder /
+ * replayer roundtrips of every record kind, dep-tag canonicalization,
+ * the pinned record encoding, and the required failure modes (every
+ * malformed file must raise std::runtime_error with a descriptive
+ * message, never UB).
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,7 +31,7 @@ tmpPath(const std::string &name)
 }
 
 /** Sink that journals every call (with deps) as one line of text. */
-class JournalSink : public TraceSink
+class JournalSink : public EventSink
 {
   public:
     /**
@@ -43,79 +45,24 @@ class JournalSink : public TraceSink
     {}
 
     std::vector<std::string> lines;
-
-    void
-    alu(uint32_t count, uint64_t dep) override
-    {
-        add("alu " + std::to_string(count) + " d" + rel(dep));
-    }
-
-    void
-    branch(bool taken, uint64_t pc, uint64_t dep) override
-    {
-        add("branch " + std::to_string(taken) + " " +
-            std::to_string(pc) + " d" + rel(dep));
-    }
+    std::set<EventKind> kinds;
 
     uint64_t
-    load(uint64_t vaddr, uint64_t dep, uint64_t dep2) override
+    event(const Event &e) override
     {
-        add("load " + std::to_string(vaddr) + " d" + rel(dep) + " d" +
-            rel(dep2));
-        return issue();
+        const KindInfo &k = kindInfo(e.kind);
+        std::string line = k.name;
+        for (unsigned i = 0; i < k.operands; ++i)
+            line += ((k.deps >> i) & 1) ? " d" + rel(e.operands[i])
+                                        : " " + std::to_string(e.operands[i]);
+        if (k.named)
+            line += std::string(" ") + e.name;
+        lines.push_back(std::move(line));
+        kinds.insert(e.kind);
+        return k.tag ? issue() : 0;
     }
-
-    void
-    store(uint64_t vaddr, uint64_t dep) override
-    {
-        add("store " + std::to_string(vaddr) + " d" + rel(dep));
-    }
-
-    uint64_t
-    nvLoad(ObjectID oid, uint64_t dep, uint64_t dep2) override
-    {
-        add("nvLoad " + std::to_string(oid.raw) + " d" + rel(dep) +
-            " d" + rel(dep2));
-        return issue();
-    }
-
-    void
-    nvStore(ObjectID oid, uint64_t dep) override
-    {
-        add("nvStore " + std::to_string(oid.raw) + " d" + rel(dep));
-    }
-
-    void clwb(uint64_t vaddr) override
-    {
-        add("clwb " + std::to_string(vaddr));
-    }
-
-    void nvClwb(ObjectID oid) override
-    {
-        add("nvClwb " + std::to_string(oid.raw));
-    }
-
-    void fence() override { add("fence"); }
-
-    void
-    poolMapped(uint32_t pool_id, uint64_t vbase, uint64_t size) override
-    {
-        add("poolMapped " + std::to_string(pool_id) + " " +
-            std::to_string(vbase) + " " + std::to_string(size));
-    }
-
-    void
-    poolUnmapped(uint32_t pool_id) override
-    {
-        add("poolUnmapped " + std::to_string(pool_id));
-    }
-
-    void swTranslateBegin() override { add("swTranslateBegin"); }
-    void swTranslateEnd() override { add("swTranslateEnd"); }
 
   private:
-    void add(std::string s) { lines.push_back(std::move(s)); }
-
     uint64_t
     issue()
     {
@@ -147,7 +94,11 @@ class JournalSink : public TraceSink
     std::vector<uint64_t> issued_;
 };
 
-/** Drive a fixed little scenario against any sink, chaining deps. */
+/**
+ * Drive a fixed scenario against any sink, chaining deps. It emits
+ * every record kind, including a multi-byte opName and a lockWait key
+ * that needs a 10-byte varint.
+ */
 void
 runScenario(TraceSink &sink)
 {
@@ -166,11 +117,45 @@ runScenario(TraceSink &sink)
     const uint64_t d = sink.load(0x4000, c, kNoDep);
     sink.alu(2, d);
     sink.swTranslateEnd();
+    sink.opName(7, "new_order/\xc3\xa9t\xc3\xa9");
+    sink.txBegin(1, 7);
+    sink.coreSwitch(1);
+    sink.opSet(7);
+    sink.lockWait(1, 0x8000'0000'0000'0001ull, 1, 2);
+    sink.lockAcquired(1, 0x8000'0000'0000'0001ull, 1);
+    sink.lockDeadlock(0, 0x55);
+    sink.commitJoin(1);
+    sink.commitBatch(2, 1);
+    sink.txCommit(1);
+    sink.lockReleased(1, 0x8000'0000'0000'0001ull);
+    sink.txBegin(1, 7);
+    sink.txAbort(1);
+    sink.workerDone(1);
     sink.fence();
     sink.poolUnmapped(1);
 }
 
-constexpr uint64_t kScenarioEvents = 17;
+constexpr uint64_t kScenarioEvents = 31;
+
+/** Load a finished trace file into memory. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    return ss.str();
+}
+
+TEST(Scenario, CoversEveryKind)
+{
+    JournalSink sink(1, 1);
+    runScenario(sink);
+    EXPECT_EQ(sink.lines.size(), kScenarioEvents);
+    for (uint8_t k = kMinEventKind; k <= kMaxEventKind; ++k)
+        EXPECT_TRUE(sink.kinds.count(static_cast<EventKind>(k)))
+            << "runScenario never emits " << kKinds[k].name;
+}
 
 TEST(Varint, RoundtripsEdgeValues)
 {
@@ -230,6 +215,17 @@ TEST(Recorder, RoundtripPreservesEventsAndDeps)
         EXPECT_EQ(rec.eventCount(), kScenarioEvents);
     }
 
+    // The record region is pinned: changing its bytes invalidates every
+    // cached trace, so it needs a kFormatVersion bump.
+    const std::string file = slurp(path);
+    uint64_t record_bytes = 0, record_hash = 0;
+    for (int i = 7; i >= 0; --i) {
+        record_bytes = record_bytes << 8 | static_cast<uint8_t>(file[24 + i]);
+        record_hash = record_hash << 8 | static_cast<uint8_t>(file[32 + i]);
+    }
+    EXPECT_EQ(record_bytes, 155u);
+    EXPECT_EQ(record_hash, 0x853b756656821c1cull);
+
     const TraceReplayer trace(path);
     EXPECT_EQ(trace.fingerprint(), "fpr");
     EXPECT_EQ(trace.profile(), "sidecar blob");
@@ -238,6 +234,9 @@ TEST(Recorder, RoundtripPreservesEventsAndDeps)
     JournalSink replayed(1, 1);
     trace.replayInto(replayed);
     EXPECT_EQ(replayed.lines, live.lines);
+    // Raw name bytes and a 10-byte varint survive the file intact.
+    EXPECT_EQ(replayed.lines[15], "opName 7 new_order/\xc3\xa9t\xc3\xa9");
+    EXPECT_EQ(replayed.lines[19], "lockWait 1 9223372036854775809 1 2");
 
     // replayInto is repeatable: each replay starts a fresh tag map.
     JournalSink again(1, 1);
@@ -327,16 +326,6 @@ TEST(Replayer, MatchesChecksFingerprintAndShape)
     EXPECT_FALSE(TraceReplayer::matches(path, "some-other-fingerprint"));
     EXPECT_FALSE(TraceReplayer::matches(path + ".missing", "x"));
     std::remove(path.c_str());
-}
-
-/** Load a finished trace file into memory for corruption tests. */
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream f(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return ss.str();
 }
 
 void

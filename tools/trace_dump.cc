@@ -24,194 +24,38 @@ using namespace poat;
 namespace {
 
 /**
- * Counts records per kind and prints the first @p head of them. Returns
- * sequential tags from load-like events so the deps the replayer feeds
- * back in are the file's own canonical sequence numbers — what prints
- * is what is stored.
+ * Counts records per kind and prints the first @p head of them, one
+ * labelled operand per table column. Returns sequential tags from
+ * load-like events so the deps the replayer feeds back in are the
+ * file's own canonical sequence numbers — what prints is what is stored.
  */
-class DumpSink : public TraceSink
+class DumpSink : public trace_io::EventSink
 {
   public:
     explicit DumpSink(uint64_t head) : head_(head) {}
 
     uint64_t counts[trace_io::kMaxEventKind + 1] = {};
 
-    void
-    alu(uint32_t count, uint64_t dep) override
-    {
-        row(trace_io::EventKind::Alu);
-        if (printing())
-            std::printf(" count=%" PRIu32 " dep=%" PRIu64 "\n", count,
-                        dep);
-    }
-
-    void
-    branch(bool taken, uint64_t pc, uint64_t dep) override
-    {
-        row(trace_io::EventKind::Branch);
-        if (printing())
-            std::printf(" taken=%d pc=0x%" PRIx64 " dep=%" PRIu64 "\n",
-                        taken ? 1 : 0, pc, dep);
-    }
-
     uint64_t
-    load(uint64_t vaddr, uint64_t dep, uint64_t dep2) override
+    event(const trace_io::Event &e) override
     {
-        row(trace_io::EventKind::Load);
-        const uint64_t seq = ++loads_;
-        if (printing())
-            std::printf(" vaddr=0x%" PRIx64 " dep=%" PRIu64
-                        " dep2=%" PRIu64 " -> seq=%" PRIu64 "\n",
-                        vaddr, dep, dep2, seq);
+        const trace_io::KindInfo &k = trace_io::kindInfo(e.kind);
+        ++counts[static_cast<uint8_t>(e.kind)];
+        const uint64_t seq = k.tag ? ++loads_ : 0;
+        if (++seen_ > head_)
+            return seq;
+        std::printf("  %8" PRIu64 "  %-12s", seen_, k.name);
+        for (unsigned i = 0; i < k.operands; ++i)
+            std::printf(" %s=%" PRIu64, k.labels[i], e.operands[i]);
+        if (k.named)
+            std::printf(" name=%s", e.name);
+        if (k.tag)
+            std::printf(" -> seq=%" PRIu64, seq);
+        std::printf("\n");
         return seq;
-    }
-
-    void
-    store(uint64_t vaddr, uint64_t dep) override
-    {
-        row(trace_io::EventKind::Store);
-        if (printing())
-            std::printf(" vaddr=0x%" PRIx64 " dep=%" PRIu64 "\n", vaddr,
-                        dep);
-    }
-
-    uint64_t
-    nvLoad(ObjectID oid, uint64_t dep, uint64_t dep2) override
-    {
-        row(trace_io::EventKind::NvLoad);
-        const uint64_t seq = ++loads_;
-        if (printing())
-            std::printf(" pool=%" PRIu32 " off=0x%" PRIx32
-                        " dep=%" PRIu64 " dep2=%" PRIu64
-                        " -> seq=%" PRIu64 "\n",
-                        oid.poolId(), oid.offset(), dep, dep2, seq);
-        return seq;
-    }
-
-    void
-    nvStore(ObjectID oid, uint64_t dep) override
-    {
-        row(trace_io::EventKind::NvStore);
-        if (printing())
-            std::printf(" pool=%" PRIu32 " off=0x%" PRIx32
-                        " dep=%" PRIu64 "\n",
-                        oid.poolId(), oid.offset(), dep);
-    }
-
-    void
-    clwb(uint64_t vaddr) override
-    {
-        row(trace_io::EventKind::Clwb);
-        if (printing())
-            std::printf(" vaddr=0x%" PRIx64 "\n", vaddr);
-    }
-
-    void
-    nvClwb(ObjectID oid) override
-    {
-        row(trace_io::EventKind::NvClwb);
-        if (printing())
-            std::printf(" pool=%" PRIu32 " off=0x%" PRIx32 "\n",
-                        oid.poolId(), oid.offset());
-    }
-
-    void
-    fence() override
-    {
-        row(trace_io::EventKind::Fence);
-        if (printing())
-            std::printf("\n");
-    }
-
-    void
-    poolMapped(uint32_t pool_id, uint64_t vbase, uint64_t size) override
-    {
-        row(trace_io::EventKind::PoolMapped);
-        if (printing())
-            std::printf(" pool=%" PRIu32 " vbase=0x%" PRIx64
-                        " size=%" PRIu64 "\n",
-                        pool_id, vbase, size);
-    }
-
-    void
-    poolUnmapped(uint32_t pool_id) override
-    {
-        row(trace_io::EventKind::PoolUnmapped);
-        if (printing())
-            std::printf(" pool=%" PRIu32 "\n", pool_id);
-    }
-
-    void
-    swTranslateBegin() override
-    {
-        row(trace_io::EventKind::SwTranslateBegin);
-        if (printing())
-            std::printf("\n");
-    }
-
-    void
-    swTranslateEnd() override
-    {
-        row(trace_io::EventKind::SwTranslateEnd);
-        if (printing())
-            std::printf("\n");
-    }
-
-    void
-    txBegin(uint32_t pool_id, uint32_t op) override
-    {
-        row(trace_io::EventKind::TxBegin);
-        if (printing())
-            std::printf(" pool=%" PRIu32 " op=%" PRIu32 "\n", pool_id,
-                        op);
-    }
-
-    void
-    txCommit(uint32_t pool_id) override
-    {
-        row(trace_io::EventKind::TxCommit);
-        if (printing())
-            std::printf(" pool=%" PRIu32 "\n", pool_id);
-    }
-
-    void
-    txAbort(uint32_t pool_id) override
-    {
-        row(trace_io::EventKind::TxAbort);
-        if (printing())
-            std::printf(" pool=%" PRIu32 "\n", pool_id);
-    }
-
-    void
-    opName(uint32_t op, const char *name) override
-    {
-        row(trace_io::EventKind::OpName);
-        if (printing())
-            std::printf(" op=%" PRIu32 " name=%s\n", op, name);
-    }
-
-    void
-    coreSwitch(uint32_t core) override
-    {
-        row(trace_io::EventKind::CoreSwitch);
-        if (printing())
-            std::printf(" core=%" PRIu32 "\n", core);
     }
 
   private:
-    bool printing() const { return seen_ <= head_; }
-
-    void
-    row(trace_io::EventKind kind)
-    {
-        ++counts[static_cast<uint8_t>(kind)];
-        ++seen_;
-        if (printing())
-            std::printf("  %8" PRIu64 "  %-12s", seen_,
-                        trace_io::eventKindName(
-                            static_cast<uint8_t>(kind)));
-    }
-
     uint64_t head_;
     uint64_t seen_ = 0;
     uint64_t loads_ = 0;
@@ -274,7 +118,7 @@ main(int argc, char **argv)
              k <= trace_io::kMaxEventKind; ++k)
             if (sink.counts[k])
                 std::printf("  %-12s %12" PRIu64 "\n",
-                            trace_io::eventKindName(k), sink.counts[k]);
+                            trace_io::kKinds[k].name, sink.counts[k]);
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "trace_dump: %s\n", e.what());
