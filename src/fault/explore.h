@@ -40,10 +40,12 @@
  * a seeded generator. Every failure carries a self-contained reproducer
  * string
  * "workload:steps:seed:k[:j | :dJ1,J2,..][:rMASKS][:S][:tSEED]
- * [:nTHREADS][:mFAULT][:eNUM/DEN]" that replays the exact trial within
- * one build (hash-container iteration makes event order build-local, so
- * a reproducer is not portable across compilers or standard libraries).
- * The optional tokens carry the in-recovery crash stack (":j" is the
+ * [:nTHREADS][:mFAULT][:eNUM/DEN]" that replays the exact trial. Event
+ * order does not depend on hash-container iteration: the pool walks its
+ * dirty and staged line sets in sorted order (fence drains and eviction
+ * passes alike), the registry visits pools by sorted id, and the other
+ * hash containers in pmem/ and fault/ serve lookups only. The optional
+ * tokens carry the in-recovery crash stack (":j" is the
  * legacy one-level spelling of ":dJ"), the drain-subset word masks (hex,
  * two digits per batch event), the Strict policy flag, the scheduler
  * seed and engine workers, the media-fault index (see fault/media.h),

@@ -1,5 +1,8 @@
 #include "pmem/alloc.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/bits.h"
 
 namespace poat {
@@ -127,17 +130,36 @@ PoolAllocator::rebuildFreeList()
     // stale bytes behind; scrub's extent reconstruction could later
     // mistake them for a live block (see poisonHeader). Idempotent —
     // a clean image has nothing to poison.
+    //
+    // Extents are read in kSweepChunk pieces and an all-zero slot is
+    // skipped without checksumming: a zeroed header is never
+    // crc-valid (word 0 = 0 seals to crc32c(0, 8, kMagic) =
+    // 0x4f819c8c, not 0), so the slots zeroed and persisted, and their
+    // order, are exactly those of a slot-by-slot crc check. Zeroing a
+    // slot only rewrites that slot, so the rest of the chunk stays
+    // current.
+    static_assert(kSweepChunk % kAlign == 0);
+    uint8_t chunk[kSweepChunk];
     for (const auto &[free_off, free_size] : freeList_) {
-        for (uint32_t p = free_off + static_cast<uint32_t>(kAlign);
-             p + sizeof(BlockHeader) <= free_off + free_size;
-             p += static_cast<uint32_t>(kAlign)) {
-            BlockHeader stale{};
-            pool_.readRaw(p, &stale, sizeof(stale));
-            if (!stale.crcValid())
-                continue;
-            const uint8_t zeros[sizeof(BlockHeader)] = {};
-            pool_.writeRaw(p, zeros, sizeof(zeros));
-            pool_.persist(p, sizeof(BlockHeader));
+        const uint32_t end = free_off + free_size;
+        for (uint32_t base = free_off + kAlign;
+             base + sizeof(BlockHeader) <= end; base += kSweepChunk) {
+            const uint32_t n = std::min(kSweepChunk, end - base) /
+                               kAlign * kAlign;
+            pool_.readRaw(base, chunk, n);
+            for (uint32_t i = 0; i < n; i += kAlign) {
+                uint64_t words[2];
+                std::memcpy(words, chunk + i, sizeof(words));
+                if ((words[0] | words[1]) == 0)
+                    continue;
+                BlockHeader stale{};
+                std::memcpy(&stale, chunk + i, sizeof(stale));
+                if (!stale.crcValid())
+                    continue;
+                const uint8_t zeros[sizeof(BlockHeader)] = {};
+                pool_.writeRaw(base + i, zeros, sizeof(zeros));
+                pool_.persist(base + i, sizeof(BlockHeader));
+            }
         }
     }
 }

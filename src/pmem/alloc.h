@@ -87,6 +87,8 @@ class PoolAllocator
   public:
     static constexpr uint32_t kAlign = 16;
     static constexpr uint32_t kMinBlock = sizeof(BlockHeader) + kAlign;
+    /** Bytes the free-extent sweep reads per Pool::readRaw call. */
+    static constexpr uint32_t kSweepChunk = 4096;
 
     /**
      * Attach to @p pool, scanning headers to rebuild the free list. A

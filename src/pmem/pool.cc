@@ -216,8 +216,14 @@ Pool::lineSpan(uint32_t off, size_t n)
 void
 Pool::evictRandomLines(Rng &rng, uint64_t num, uint64_t den)
 {
+    // Walk the dirty lines in sorted order, as fence() drains: the hash
+    // set's iteration order is build-local, and each line consumes one
+    // RNG draw, so the eviction schedule of an ":eNUM/DEN" reproducer
+    // must not depend on it.
+    std::vector<uint32_t> lines(dirty_.begin(), dirty_.end());
+    std::sort(lines.begin(), lines.end());
     std::vector<uint32_t> evicted;
-    for (uint32_t line : dirty_) {
+    for (uint32_t line : lines) {
         if (staged_.count(line))
             continue;
         if (rng.chance(num, den)) {

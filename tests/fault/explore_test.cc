@@ -3,10 +3,12 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "fault/explore.h"
 #include "fault/injector.h"
+#include "fault/trial.h"
 #include "pmem/runtime.h"
 #include "workloads/crash_support.h"
 
@@ -97,6 +99,65 @@ TEST(Explore, ExhaustiveBtreeWithEvictionPressurePasses)
     // — the eviction pass is the tripwire for forgotten persists.
     EXPECT_EQ(rep.evict_events, 0u)
         << "a committed transaction left dirty lines behind";
+}
+
+/** Records the line of every eviction write-back, in order. */
+struct EvictionLog final : DurabilityHook
+{
+    bool
+    onWriteBack(Pool &, uint32_t line, WriteBackCause cause) override
+    {
+        if (cause == WriteBackCause::Evict)
+            lines.push_back(line);
+        return true;
+    }
+    std::vector<uint32_t> lines;
+};
+
+TEST(Explore, EvictionScheduleIsIndependentOfStoreOrder)
+{
+    // The eviction pass of an ":e1/8" trial draws one RNG value per
+    // dirty line. Committed workload steps leave no dirty lines, so
+    // dirty 256 lines by hand — once in ascending, once in descending
+    // store order — and run the trial's eviction pass over each. Both
+    // schedules must equal one draw per line in ascending line order
+    // (pinned below), or an ":e" reproducer would depend on hash-set
+    // iteration order.
+    ExploreOptions o = smallRun("LL");
+    o.evict_num = 1;
+    o.evict_den = 8;
+    constexpr uint32_t kFirstLine = 64;
+    constexpr uint32_t kLines = 256;
+    auto schedule = [&](bool descending) {
+        PmemRuntime rt(fault::detail::trialRuntimeOptions(o));
+        const uint32_t id = rt.poolCreate("p", 1 << 20);
+        Pool &pool = rt.registry().get(id).pool;
+        EXPECT_EQ(pool.dirtyLineCount(), 0u);
+        for (uint32_t i = 0; i < kLines; ++i) {
+            const uint32_t line =
+                kFirstLine + (descending ? kLines - 1 - i : i);
+            pool.writeAs<uint64_t>(line * kLineSize, line);
+        }
+        EvictionLog log;
+        rt.registry().setDurabilityHook(&log);
+        Rng rng(fault::detail::evictSeed(o));
+        fault::detail::maybeEvict(rt, rng, o);
+        rt.registry().setDurabilityHook(nullptr);
+        return log.lines;
+    };
+    const std::vector<uint32_t> up = schedule(false);
+    EXPECT_EQ(up, schedule(true));
+
+    std::vector<uint32_t> expect;
+    Rng rng(fault::detail::evictSeed(o));
+    for (uint32_t line = kFirstLine; line < kFirstLine + kLines; ++line) {
+        if (rng.chance(o.evict_num, o.evict_den))
+            expect.push_back(line);
+    }
+    EXPECT_EQ(up, expect);
+    ASSERT_GE(up.size(), 8u);
+    EXPECT_EQ(std::vector<uint32_t>(up.begin(), up.begin() + 8),
+              (std::vector<uint32_t>{69, 74, 83, 93, 98, 107, 113, 118}));
 }
 
 TEST(Explore, DeterministicAcrossRuns)

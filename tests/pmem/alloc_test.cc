@@ -1,7 +1,9 @@
 /** @file Unit and property tests for the in-pool allocator. */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -288,6 +290,133 @@ TEST(Alloc, RebuildSweepsStaleHeadersOutOfFreeExtents)
     EXPECT_FALSE(alloc.isAllocated(b));
     EXPECT_TRUE(alloc.isAllocated(c));
     EXPECT_TRUE(alloc.validate());
+}
+
+/** Records every write-back's line, in order. */
+struct WriteBackLog final : DurabilityHook
+{
+    bool
+    onWriteBack(Pool &, uint32_t line, WriteBackCause) override
+    {
+        lines.push_back(line);
+        return true;
+    }
+    std::vector<uint32_t> lines;
+};
+
+TEST(Alloc, RebuildSweepMatchesSlotBySlotReference)
+{
+    // The sweep reads free extents in kSweepChunk pieces and skips
+    // all-zero slots unchecked. It must zero and persist exactly the
+    // slots a plain slot-by-slot crc check would, in the same order —
+    // crash-point indices inside recovery count those persists.
+    constexpr uint32_t kSlot = sizeof(BlockHeader);
+    for (uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        Pool pool("p", 1, 1 << 18);
+        PoolAllocator alloc(pool);
+        std::vector<uint32_t> live;
+        while (true) {
+            const uint32_t off = alloc.alloc(
+                static_cast<uint32_t>(rng.range(16, 12000)));
+            if (off == 0)
+                break;
+            live.push_back(off);
+        }
+        for (uint32_t off : live) {
+            if (rng.chance(1, 2))
+                alloc.free(off);
+        }
+
+        // The free extents, from the header chain.
+        std::vector<std::pair<uint32_t, uint32_t>> extents;
+        const uint32_t heap_end =
+            pool.header().heap_off + pool.header().heap_size;
+        for (uint32_t off = pool.header().heap_off; off < heap_end;) {
+            BlockHeader h{};
+            pool.readRaw(off, &h, sizeof(h));
+            ASSERT_TRUE(h.crcValid());
+            if (!h.allocated())
+                extents.emplace_back(off, h.size);
+            off += h.size;
+        }
+        ASSERT_GT(extents.size(), 1u);
+
+        // Plant zeros, junk and crc-valid headers in extent interiors;
+        // persist about half of them.
+        auto plant = [&](uint32_t p, int kind) {
+            uint64_t w[2] = {0, 0};
+            if (kind == 1) { // junk, including one-word-zero slots
+                w[0] = rng.chance(1, 4) ? 0 : rng.next();
+                w[1] = w[0] == 0 || rng.chance(1, 3) ? rng.next() : 0;
+            } else if (kind == 2) { // crc-valid header
+                BlockHeader h{};
+                h.size = static_cast<uint32_t>(rng.below(4)) *
+                         PoolAllocator::kAlign; // includes size 0
+                h.flags = static_cast<uint32_t>(rng.below(2));
+                h.prev_size = static_cast<uint32_t>(rng.next());
+                h.seal();
+                std::memcpy(w, &h, sizeof(h));
+            }
+            pool.writeRaw(p, w, sizeof(w));
+            if (rng.chance(1, 2))
+                pool.persist(p, sizeof(w));
+        };
+        for (const auto &[off, size] : extents) {
+            const uint32_t first = off + kSlot;
+            const uint32_t end = off + size;
+            for (uint32_t p = first; p + kSlot <= end; p += kSlot) {
+                const uint64_t r = rng.below(64);
+                if (r < 4)
+                    plant(p, 1);
+                else if (r < 6)
+                    plant(p, 2);
+            }
+            plant(first, 2);
+            plant(end - kSlot, 2);
+            for (uint32_t b = first + PoolAllocator::kSweepChunk; b < end;
+                 b += PoolAllocator::kSweepChunk) {
+                plant(b - kSlot, 2);
+                if (b + kSlot <= end)
+                    plant(b, 2);
+            }
+        }
+
+        // Reference: check every slot, zero and persist the valid ones.
+        std::vector<uint8_t> work(pool.size());
+        pool.readRaw(0, work.data(), work.size());
+        std::vector<uint8_t> durable = pool.durableImage();
+        std::vector<uint32_t> persisted;
+        for (const auto &[off, size] : extents) {
+            for (uint32_t p = off + kSlot; p + kSlot <= off + size;
+                 p += kSlot) {
+                BlockHeader h{};
+                std::memcpy(&h, work.data() + p, sizeof(h));
+                if (!h.crcValid())
+                    continue;
+                std::memset(work.data() + p, 0, kSlot);
+                const uint32_t line = p / kLineSize;
+                std::memcpy(durable.data() + line * kLineSize,
+                            work.data() + line * kLineSize, kLineSize);
+                persisted.push_back(line);
+            }
+        }
+        ASSERT_FALSE(persisted.empty());
+
+        WriteBackLog log;
+        pool.setDurabilityHook(&log);
+        alloc.rescan();
+        pool.setDurabilityHook(nullptr);
+
+        std::vector<uint8_t> swept(pool.size());
+        pool.readRaw(0, swept.data(), swept.size());
+        EXPECT_TRUE(swept == work) << "working images differ";
+        EXPECT_TRUE(pool.durableImage() == durable)
+            << "durable images differ";
+        EXPECT_EQ(log.lines, persisted);
+        EXPECT_TRUE(alloc.validate());
+    }
 }
 
 } // namespace

@@ -12,10 +12,13 @@
  * Either mode prints coverage plus a deterministic reproducer for every
  * failure; reproducers replay with --repro=... within one build (media
  * reproducers carry an ":mF" token and route automatically).
+ * Host wall time and trial throughput go to stderr ("host: ...") so
+ * stdout stays a deterministic function of the options.
  *
  * Exit status: 0 all trials passed, 1 invariant violations found,
  * 2 usage error.
  */
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -287,12 +290,28 @@ toMediaOptions(const Args &a, const std::string &workload)
     return m;
 }
 
+/**
+ * Host wall time since @p t0 and trial throughput, on stderr: not part
+ * of the deterministic output.
+ */
+void
+printHost(std::chrono::steady_clock::time_point t0, uint64_t trials)
+{
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    std::fflush(stdout);
+    std::fprintf(stderr, "      host: %.2f s, %.0f trials/s\n", wall_s,
+                 wall_s > 0 ? static_cast<double>(trials) / wall_s : 0.0);
+}
+
 /** Media-fault explore one workload; returns the number of failures. */
 size_t
 exploreMediaOne(const Args &a, const std::string &workload,
                 poat::StatsRegistry &stats)
 {
     const MediaOptions opts = toMediaOptions(a, workload);
+    const auto t0 = std::chrono::steady_clock::now();
     const poat::fault::MediaReport rep = poat::fault::exploreMedia(opts);
     rep.publish(stats);
 
@@ -319,6 +338,7 @@ exploreMediaOne(const Args &a, const std::string &workload,
             std::printf("           diag: %s\n", f.diag.c_str());
     }
     std::printf("      %s\n", rep.ok() ? "PASS" : "FAIL");
+    printHost(t0, rep.trials);
     return rep.failures.size();
 }
 
@@ -328,6 +348,7 @@ exploreOne(const Args &a, const std::string &workload,
            poat::StatsRegistry &stats)
 {
     const ExploreOptions opts = toOptions(a, workload);
+    const auto t0 = std::chrono::steady_clock::now();
     const poat::fault::ExploreReport rep = poat::fault::explore(opts);
     rep.publish(stats);
 
@@ -371,6 +392,7 @@ exploreOne(const Args &a, const std::string &workload,
             std::printf("           diag: %s\n", f.diag.c_str());
     }
     std::printf("      %s\n", rep.ok() ? "PASS" : "FAIL");
+    printHost(t0, rep.trials + rep.recovery_trials + rep.reorder_states);
     return rep.failures.size();
 }
 
