@@ -7,7 +7,10 @@
  * context for why a 17-vs-97-instruction translation matters: the same
  * ratio shows up in host nanoseconds. The Crc32c and Rescan benches
  * time the host cost of pool open: the checksum kernel and the
- * allocator's header scan plus free-extent sweep.
+ * allocator's header scan plus free-extent sweep. PoolCreate times a
+ * pool's create path, and the Tlb, PageTable and CacheHierarchy benches
+ * time the simulator's per-access lookups over a seeded address
+ * stream.
  */
 #include <benchmark/benchmark.h>
 
@@ -16,7 +19,10 @@
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "pmem/alloc.h"
+#include "pmem/registry.h"
 #include "pmem/runtime.h"
+#include "sim/cache.h"
+#include "sim/vm.h"
 #include "workloads/bplustree.h"
 #include "workloads/harness.h"
 
@@ -230,6 +236,124 @@ BM_RescanChurnedHeap(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RescanChurnedHeap);
+
+void
+BM_PoolCreate(benchmark::State &state)
+{
+    // The registry's create path: pool images, superblock, allocator
+    // format and undo log. Arg is the pool size in MB.
+    const uint64_t size = static_cast<uint64_t>(state.range(0)) << 20;
+    for (auto _ : state) {
+        OpenPool op("p", 1, size, Pool::kDefaultLogSize);
+        benchmark::DoNotOptimize(op.alloc.freeBytes());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(size));
+}
+BENCHMARK(BM_PoolCreate)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+/**
+ * 64K seeded virtual addresses shaped like a simulated workload's:
+ * runs within a page, a hot set of @p hot_pages, and cold pages.
+ */
+std::vector<uint64_t>
+addressStream(uint64_t hot_pages)
+{
+    Rng rng(42);
+    std::vector<uint64_t> out(1 << 16);
+    uint64_t a = 0x7f0000000000ull;
+    for (uint64_t &v : out) {
+        const uint64_t pick = rng.below(100);
+        if (pick < 40)
+            a += 8;
+        else if (pick < 90)
+            a = 0x7f0000000000ull + rng.below(hot_pages * kPageSize);
+        else
+            a = 0x100000000ull + rng.below(uint64_t{1} << 30);
+        v = a;
+    }
+    return out;
+}
+
+void
+BM_TlbAccess(benchmark::State &state)
+{
+    // A 64-entry D-TLB (Table 4) over a hot set slightly larger than it.
+    const std::vector<uint64_t> stream = addressStream(80);
+    sim::Tlb tlb(64);
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tlb.access(stream[i]));
+        i = (i + 1) & (stream.size() - 1);
+    }
+    state.counters["miss_rate"] = tlb.missRate();
+}
+BENCHMARK(BM_TlbAccess);
+
+void
+BM_PageTableTranslate(benchmark::State &state)
+{
+    const std::vector<uint64_t> stream = addressStream(80);
+    sim::PageTable pt;
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(pt.translate(stream[i]));
+        i = (i + 1) & (stream.size() - 1);
+    }
+}
+BENCHMARK(BM_PageTableTranslate);
+
+/** Physical addresses of addressStream() and a core for each. */
+struct CoreStream
+{
+    explicit CoreStream(uint32_t cores)
+    {
+        sim::PageTable pt;
+        Rng rng(7);
+        for (uint64_t va : addressStream(2048)) {
+            paddr.push_back(pt.translate(va));
+            core.push_back(static_cast<uint32_t>(rng.below(cores)));
+        }
+    }
+    std::vector<uint64_t> paddr;
+    std::vector<uint32_t> core;
+};
+
+void
+BM_CacheHierarchyAccess(benchmark::State &state)
+{
+    // The Table 4 hierarchy with Arg private L1/L2 pairs.
+    sim::MachineConfig cfg;
+    cfg.cores = static_cast<uint32_t>(state.range(0));
+    const CoreStream s(cfg.cores);
+    sim::CacheHierarchy h(cfg);
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            h.accessClassified(s.core[i], s.paddr[i], (i & 3) == 0));
+        i = (i + 1) & (s.paddr.size() - 1);
+    }
+}
+BENCHMARK(BM_CacheHierarchyAccess)->Arg(1)->Arg(8);
+
+void
+BM_CacheHierarchyFlushLine(benchmark::State &state)
+{
+    // CLWB probes every level of every core.
+    sim::MachineConfig cfg;
+    cfg.cores = static_cast<uint32_t>(state.range(0));
+    const CoreStream s(cfg.cores);
+    sim::CacheHierarchy h(cfg);
+    for (size_t i = 0; i < s.paddr.size(); ++i)
+        h.access(s.core[i], s.paddr[i], true);
+    size_t i = 0;
+    for (auto _ : state) {
+        h.flushLine(s.paddr[i]);
+        i = (i + 1) & (s.paddr.size() - 1);
+    }
+    benchmark::ClobberMemory();
+}
+BENCHMARK(BM_CacheHierarchyFlushLine)->Arg(1)->Arg(8);
 
 } // namespace
 

@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "pmem/runtime.h"
 #include "telemetry/timeline.h"
@@ -248,6 +249,27 @@ runtimeOptions(const ExperimentConfig &cfg)
 }
 
 /**
+ * ExperimentResult::engine as "engine.*" counters. The profile sidecar
+ * carries the counters, and a replayed run rebuilds the struct from
+ * them.
+ */
+constexpr std::pair<const char *, uint64_t concurrent::EngineStats::*>
+    kEngineCounters[] = {
+        {"engine.commits", &concurrent::EngineStats::commits},
+        {"engine.aborts", &concurrent::EngineStats::aborts},
+        {"engine.retries", &concurrent::EngineStats::retries},
+        {"engine.lock.acquisitions",
+         &concurrent::EngineStats::lock_acquisitions},
+        {"engine.lock.waits", &concurrent::EngineStats::lock_waits},
+        {"engine.lock.deadlocks", &concurrent::EngineStats::deadlocks},
+        {"engine.gc.windows", &concurrent::EngineStats::gc_windows},
+        {"engine.gc.members", &concurrent::EngineStats::gc_members},
+        {"engine.gc.fences_elided",
+         &concurrent::EngineStats::fences_elided},
+        {"engine.switches", &concurrent::EngineStats::switches},
+};
+
+/**
  * Snapshot the functional (machine-independent) outcome of a run: the
  * translator profile and the workload result, as result fields plus a
  * standalone registry. This is everything a replayed run cannot
@@ -282,17 +304,8 @@ fillFunctionalProfile(const ExperimentConfig &cfg, const PmemRuntime &rt,
     // Concurrency outcome (deterministic, hence functional): exported
     // here so replayed runs restore it from the trace sidecar.
     if (concurrentWorkload(cfg.workload)) {
-        const concurrent::EngineStats &e = res.engine;
-        prof.counter("engine.commits") = e.commits;
-        prof.counter("engine.aborts") = e.aborts;
-        prof.counter("engine.retries") = e.retries;
-        prof.counter("engine.lock.acquisitions") = e.lock_acquisitions;
-        prof.counter("engine.lock.waits") = e.lock_waits;
-        prof.counter("engine.lock.deadlocks") = e.deadlocks;
-        prof.counter("engine.gc.windows") = e.gc_windows;
-        prof.counter("engine.gc.members") = e.gc_members;
-        prof.counter("engine.gc.fences_elided") = e.fences_elided;
-        prof.counter("engine.switches") = e.switches;
+        for (const auto &[name, field] : kEngineCounters)
+            prof.counter(name) = res.engine.*field;
         prof.counter("tx.abort.undo_bytes") = rt.abortUndoBytes();
     }
 }
@@ -420,6 +433,8 @@ applyProfile(const std::string &blob, const std::string &path,
             throw corrupt("unknown line kind " + kind);
         }
     }
+    for (const auto &[name, field] : kEngineCounters)
+        res.engine.*field = prof.get(name);
     mergeRegistry(prof, res.stats);
 }
 

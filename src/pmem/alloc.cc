@@ -7,15 +7,18 @@
 
 namespace poat {
 
-PoolAllocator::PoolAllocator(Pool &pool)
+PoolAllocator::PoolAllocator(Pool &pool, Attach how)
     : pool_(pool),
       heapOff_(pool.header().heap_off),
       heapSize_(pool.header().heap_size)
 {
     BlockHeader first{};
     pool_.readRaw(heapOff_, &first, sizeof(first));
-    if (first.size == 0 && first.prev_size == 0 && first.flags == 0 &&
-        first.crc == 0) {
+    const bool fresh = first.size == 0 && first.prev_size == 0 &&
+                       first.flags == 0 && first.crc == 0;
+    POAT_ASSERT(fresh || how == Attach::Open,
+                "Attach::Create on a heap that is already formatted");
+    if (fresh) {
         // Fresh heap: one giant free block spanning the whole region.
         BlockHeader h{};
         h.size = heapSize_;
@@ -24,7 +27,9 @@ PoolAllocator::PoolAllocator(Pool &pool)
         writeHeader(heapOff_, h);
         pool_.persist(heapOff_, sizeof(h));
     }
-    rebuildFreeList();
+    // A created heap is zero past the header just written, so the
+    // sweep would read every byte of it and change none.
+    rebuildFreeList(how == Attach::Open);
 }
 
 BlockHeader
@@ -68,7 +73,7 @@ PoolAllocator::heapEnd() const
 }
 
 void
-PoolAllocator::rebuildFreeList()
+PoolAllocator::rebuildFreeList(bool sweep)
 {
     // The scan is self-healing: a crash can leave torn *linkage* (a
     // stale prev_size, or two adjacent free blocks whose merge did not
@@ -123,7 +128,13 @@ PoolAllocator::rebuildFreeList()
         throw MediaError(pool_.name(), off, MediaStructure::BlockHeader,
                          "blocks overrun the heap region");
     }
+    if (sweep)
+        sweepFreeExtents();
+}
 
+void
+PoolAllocator::sweepFreeExtents()
+{
     // Hygiene sweep: no crc-valid header may survive inside a free
     // extent. free() poisons absorbed headers itself, but a crash
     // between the merged-header fence and the poison fence leaves the

@@ -90,6 +90,20 @@ class PoolAllocator
     /** Bytes the free-extent sweep reads per Pool::readRaw call. */
     static constexpr uint32_t kSweepChunk = 4096;
 
+    /** How the allocator attaches to its pool's heap. */
+    enum class Attach : uint8_t
+    {
+        /** An existing image: scan headers and sweep free extents. */
+        Open,
+        /**
+         * A pool this process has just created with Pool's create
+         * constructor and not written since: its heap is zero by
+         * construction, so the free-extent sweep has nothing to find
+         * and is skipped.
+         */
+        Create,
+    };
+
     /**
      * Attach to @p pool, scanning headers to rebuild the free list. A
      * fresh heap (first header all zeros) is formatted as one free
@@ -97,7 +111,7 @@ class PoolAllocator
      * recovery paths run the scrub pass first so this never fires on a
      * repairable image.
      */
-    explicit PoolAllocator(Pool &pool);
+    explicit PoolAllocator(Pool &pool, Attach how = Attach::Open);
 
     /**
      * Allocate @p size payload bytes.
@@ -180,7 +194,8 @@ class PoolAllocator
      * pool open by rebuildFreeList).
      */
     void poisonHeader(uint32_t block_off);
-    void rebuildFreeList();
+    void rebuildFreeList(bool sweep = true);
+    void sweepFreeExtents();
     uint32_t heapEnd() const;
 
     Pool &pool_;

@@ -18,7 +18,7 @@ Pool::Pool(std::string name, uint32_t pool_id, uint64_t size,
     POAT_ASSERT(log_size + kHeaderSize + kLineSize <= size,
                 "log region does not fit in pool");
 
-    data_.assign(size, 0);
+    data_ = PoolImage(size);
 
     PoolHeader h{};
     h.magic = PoolHeader::kMagic;
@@ -35,13 +35,14 @@ Pool::Pool(std::string name, uint32_t pool_id, uint64_t size,
     storeHeader(h);
 
     // A fresh pool is fully durable from the start, like a newly created
-    // and synced file.
+    // and synced file. Only the superblock region was written, so the
+    // durable image is zeros plus a copy of it.
     dirty_.clear();
-    durable_ = data_;
+    durable_ = PoolImage(size);
+    std::memcpy(durable_.data(), data_.data(), kHeaderSize);
 }
 
-Pool::Pool(std::string name, uint32_t pool_id,
-           std::vector<uint8_t> durable_image)
+Pool::Pool(std::string name, uint32_t pool_id, PoolImage durable_image)
     : name_(std::move(name)), id_(pool_id), data_(std::move(durable_image))
 {
     POAT_ASSERT(data_.size() >= kHeaderSize, "pool image too small");
@@ -183,12 +184,28 @@ Pool::fence()
     staged_.clear();
 }
 
+namespace {
+
+std::vector<uint32_t>
+sortedLines(const std::unordered_set<uint32_t> &set)
+{
+    std::vector<uint32_t> lines(set.begin(), set.end());
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+} // namespace
+
 std::vector<uint32_t>
 Pool::stagedLines() const
 {
-    std::vector<uint32_t> lines(staged_.begin(), staged_.end());
-    std::sort(lines.begin(), lines.end());
-    return lines;
+    return sortedLines(staged_);
+}
+
+std::vector<uint32_t>
+Pool::dirtyLines() const
+{
+    return sortedLines(dirty_);
 }
 
 void
@@ -220,10 +237,8 @@ Pool::evictRandomLines(Rng &rng, uint64_t num, uint64_t den)
     // set's iteration order is build-local, and each line consumes one
     // RNG draw, so the eviction schedule of an ":eNUM/DEN" reproducer
     // must not depend on it.
-    std::vector<uint32_t> lines(dirty_.begin(), dirty_.end());
-    std::sort(lines.begin(), lines.end());
     std::vector<uint32_t> evicted;
-    for (uint32_t line : lines) {
+    for (uint32_t line : dirtyLines()) {
         if (staged_.count(line))
             continue;
         if (rng.chance(num, den)) {

@@ -21,7 +21,9 @@
 #define POAT_PMEM_POOL_H
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -135,6 +137,62 @@ enum class WriteBackCause : uint8_t
     Evict, ///< simulated cache pressure (evictRandomLines)
 };
 
+/**
+ * Allocator of pool images. Storage comes from calloc, so it is zero
+ * from the start, and value-construction (what `PoolImage(n)` does to
+ * each byte) is a no-op. A fresh image therefore costs no write: glibc
+ * serves a large calloc with fresh mmap'd pages that stay unbacked
+ * until something stores to them, and reading the bytes back yields
+ * the zeros calloc promised. Small images reuse warm heap memory.
+ *
+ * The no-op construct is only sound on memory calloc just returned.
+ * Growing a vector inside its capacity (resize after a shrink) would
+ * "construct" the new tail over stale bytes, so a PoolImage must never
+ * be resized after construction; copy, move and assignment are fine.
+ */
+template <typename T>
+struct ZeroedAllocator
+{
+    using value_type = T;
+
+    ZeroedAllocator() = default;
+    template <typename U>
+    ZeroedAllocator(const ZeroedAllocator<U> &) noexcept
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        void *p = std::calloc(n, sizeof(T));
+        if (p == nullptr)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+    void deallocate(T *p, size_t) noexcept { std::free(p); }
+
+    /** Value-construct: calloc already zeroed the storage. */
+    template <typename U>
+    void
+    construct(U *) noexcept
+    {
+    }
+
+    friend bool
+    operator==(const ZeroedAllocator &, const ZeroedAllocator &)
+    {
+        return true;
+    }
+};
+
+/**
+ * A pool image: the working or durable bytes of a pool, a closed
+ * pool's "disk" copy, or an exported file. One type everywhere, so an
+ * image is moved between owners, never converted. Never resize one
+ * after construction (see ZeroedAllocator).
+ */
+using PoolImage = std::vector<uint8_t, ZeroedAllocator<uint8_t>>;
+
 class Pool;
 
 /**
@@ -234,8 +292,7 @@ class Pool
      * (and vice versa, during the scrub pass that follows).
      * @throws MediaError if both superblock copies are corrupt.
      */
-    Pool(std::string name, uint32_t pool_id,
-         std::vector<uint8_t> durable_image);
+    Pool(std::string name, uint32_t pool_id, PoolImage durable_image);
 
     const std::string &name() const { return name_; }
     uint32_t id() const { return id_; }
@@ -305,7 +362,13 @@ class Pool
     void crash();
 
     /** Copy of the durable image (for offline recovery testing). */
-    std::vector<uint8_t> durableImage() const { return durable_; }
+    PoolImage durableImage() const { return durable_; }
+
+    /**
+     * Move the durable image out (pool close). The pool is left
+     * without an image and must be destroyed next.
+     */
+    PoolImage takeDurableImage() { return std::move(durable_); }
 
     /**
      * Zero-copy view of the durable image. Valid until the next
@@ -313,7 +376,7 @@ class Pool
      * destruction); callers that need the bytes to outlive the pool
      * must use durableImage().
      */
-    const std::vector<uint8_t> &durableView() const { return durable_; }
+    const PoolImage &durableView() const { return durable_; }
 
     /**
      * Install (or with nullptr, remove) the fault-injection hook on
@@ -328,6 +391,9 @@ class Pool
 
     /** Count of lines dirty in cache and not yet written back. */
     size_t dirtyLineCount() const { return dirty_.size(); }
+
+    /** Lines dirty in cache and not yet written back, ascending. */
+    std::vector<uint32_t> dirtyLines() const;
 
     /**
      * Lines CLWB'd but not yet retired by a fence (Strict policy),
@@ -390,8 +456,8 @@ class Pool
     std::string name_;
     uint32_t id_;
     uint64_t vbase_ = 0;
-    std::vector<uint8_t> data_;    ///< working image (memory + caches)
-    std::vector<uint8_t> durable_; ///< NVM image
+    PoolImage data_;    ///< working image (memory + caches)
+    PoolImage durable_; ///< NVM image
     std::unordered_set<uint32_t> dirty_;  ///< lines modified, not flushed
     std::unordered_set<uint32_t> staged_; ///< lines CLWB'd, fence pending
     DurabilityPolicy policy_ = DurabilityPolicy::Eager;

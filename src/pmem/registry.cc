@@ -37,17 +37,25 @@ PoolRegistry::open(const std::string &name)
     auto disk_it = disk_.find(name);
     POAT_ASSERT(disk_it != disk_.end(), "pool known but image missing");
 
-    auto op = std::make_unique<OpenPool>(name, id, disk_it->second);
-    op->pool.setVbase(space_.mapRandom(op->pool.size()));
-    op->pool.setDurabilityHook(hook_);
-    op->pool.setDurabilityPolicy(policy_);
-    op->pool.setChecksumCounters(&counters_);
-    lastScrub_ = op->open_scrub;
-    op->forEachLog([](UndoLog &log) { log.recover(); });
+    // The image moves into the open pool, so an image that recovery
+    // rejects is gone with it; forget its name too.
+    PoolImage image = std::move(disk_it->second);
     disk_.erase(disk_it);
-    auto &ref = *op;
-    open_[id] = std::move(op);
-    return ref;
+    try {
+        auto op = std::make_unique<OpenPool>(name, id, std::move(image));
+        op->pool.setVbase(space_.mapRandom(op->pool.size()));
+        op->pool.setDurabilityHook(hook_);
+        op->pool.setDurabilityPolicy(policy_);
+        op->pool.setChecksumCounters(&counters_);
+        lastScrub_ = op->open_scrub;
+        op->forEachLog([](UndoLog &log) { log.recover(); });
+        auto &ref = *op;
+        open_[id] = std::move(op);
+        return ref;
+    } catch (...) {
+        idByName_.erase(it);
+        throw;
+    }
 }
 
 void
@@ -59,16 +67,15 @@ PoolRegistry::close(uint32_t pool_id)
     OpenPool &op = *it->second;
     POAT_ASSERT(!op.anyLogActive(), "pool_close with a live transaction");
     // Close semantics mirror closing a file: dirty cache lines are
-    // written back before the mapping goes away.
-    disk_[op.pool.name()] = [&] {
-        // Flush everything still dirty, then take the durable image.
-        Pool &p = op.pool;
-        for (uint64_t off = 0; off < p.size(); off += kLineSize)
-            p.clwb(static_cast<uint32_t>(off));
-        p.fence();
-        return p.durableImage();
-    }();
-    space_.unmap(op.pool.vbase());
+    // written back before the mapping goes away. CLWB of a clean line
+    // is a no-op, so flushing the dirty lines in ascending order shows
+    // the hook the same write-backs as a sweep over every line.
+    Pool &p = op.pool;
+    for (uint32_t line : p.dirtyLines())
+        p.clwb(line * kLineSize);
+    p.fence();
+    disk_[p.name()] = p.takeDurableImage();
+    space_.unmap(p.vbase());
     open_.erase(it);
 }
 
@@ -98,7 +105,7 @@ PoolRegistry::get(uint32_t pool_id)
 void
 PoolRegistry::exportPool(const std::string &name, const std::string &path)
 {
-    const std::vector<uint8_t> *image = nullptr;
+    const PoolImage *image = nullptr;
     auto id_it = idByName_.find(name);
     if (id_it != idByName_.end() && open_.count(id_it->second)) {
         image = &open_.at(id_it->second)->pool.durableView();
@@ -133,7 +140,7 @@ PoolRegistry::importPool(const std::string &name, const std::string &path)
         std::fclose(f);
         POAT_FATAL("importPool: file too small to be a pool image");
     }
-    std::vector<uint8_t> image(static_cast<size_t>(size));
+    PoolImage image(static_cast<size_t>(size));
     const size_t got = std::fread(image.data(), 1, image.size(), f);
     std::fclose(f);
     if (got != image.size())

@@ -42,7 +42,7 @@ struct OpenPool
     OpenPool(std::string name, uint32_t id, uint64_t size,
              uint32_t log_size, uint32_t log_slots = 1)
         : pool(std::move(name), id, size, log_size, log_slots),
-          alloc(pool), log(pool, alloc)
+          alloc(pool, PoolAllocator::Attach::Create), log(pool, alloc)
     {
         makeExtraLogs();
     }
@@ -51,7 +51,7 @@ struct OpenPool
      * Reopen-from-image constructor: scrubs the image for media faults
      * (repairing or throwing MediaError), then runs the allocator scan.
      */
-    OpenPool(std::string name, uint32_t id, std::vector<uint8_t> image)
+    OpenPool(std::string name, uint32_t id, PoolImage image)
         : pool(std::move(name), id, std::move(image)),
           alloc(scrubbed(pool, open_scrub)), log(pool, alloc)
     {
@@ -138,6 +138,9 @@ class PoolRegistry
     /**
      * Reopen a previously created (and closed) pool by name, running
      * recovery. Fails fatally if the name is unknown or already open.
+     * @throws MediaError (unrepairable media fault) or
+     *         std::runtime_error (illegal undo log) if recovery rejects
+     *         the image; the image is consumed and the name forgotten.
      */
     OpenPool &open(const std::string &name);
 
@@ -214,7 +217,7 @@ class PoolRegistry
     DurabilityPolicy policy_ = DurabilityPolicy::Eager;
     std::unordered_map<uint32_t, std::unique_ptr<OpenPool>> open_;
     std::unordered_map<std::string, uint32_t> idByName_;
-    std::unordered_map<std::string, std::vector<uint8_t>> disk_;
+    std::unordered_map<std::string, PoolImage> disk_;
 };
 
 } // namespace poat

@@ -1,5 +1,7 @@
 #include "sim/cache.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 
 namespace poat {
@@ -12,63 +14,70 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
     POAT_ASSERT(lines % cfg.assoc == 0, "cache geometry mismatch");
     sets_ = lines / cfg.assoc;
     POAT_ASSERT(isPow2(sets_), "cache set count must be a power of two");
-    lines_.resize(lines);
+    tagShift_ = floorLog2(kLineBytes) + floorLog2(sets_);
+    keys_.assign(lines, kInvalid);
+    lru_.assign(lines, 0);
+    dirty_.assign(lines, 0);
 }
 
 uint32_t
 Cache::setOf(uint64_t paddr) const
 {
-    return static_cast<uint32_t>((paddr / kLineBytes) & (sets_ - 1));
+    static_assert(isPow2(kLineBytes));
+    return static_cast<uint32_t>((paddr >> floorLog2(kLineBytes)) &
+                                 (sets_ - 1));
 }
 
 uint64_t
 Cache::tagOf(uint64_t paddr) const
 {
-    return paddr / kLineBytes / sets_;
+    return paddr >> tagShift_;
 }
 
 bool
 Cache::access(uint64_t paddr, bool is_write)
 {
-    const uint32_t set = setOf(paddr);
+    const size_t base = static_cast<size_t>(setOf(paddr)) * assoc_;
     const uint64_t tag = tagOf(paddr);
-    Line *base = &lines_[static_cast<size_t>(set) * assoc_];
+    uint64_t *keys = &keys_[base];
+    uint64_t *lru = &lru_[base];
+    uint8_t *dirty = &dirty_[base];
     ++tick_;
 
-    Line *victim = base;
     for (uint32_t w = 0; w < assoc_; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = tick_;
-            line.dirty |= is_write;
+        if (keys[w] == tag) {
+            lru[w] = tick_;
+            dirty[w] |= is_write;
             ++hits_;
             return true;
         }
-        if (!line.valid) {
-            victim = &line; // prefer an invalid way
-        } else if (victim->valid && line.lru < victim->lru) {
-            victim = &line;
-        }
     }
 
+    // Victim: an invalid way (age 0) if any, else the true-LRU way.
+    // Ages of valid ways are distinct ticks >= 1, so which invalid way
+    // fills is the only freedom, and no hit, miss or writeback depends
+    // on a line's way.
+    uint32_t victim = 0;
+    for (uint32_t w = 1; w < assoc_; ++w) {
+        if (lru[w] < lru[victim])
+            victim = w;
+    }
     ++misses_;
-    if (victim->valid && victim->dirty)
+    if (dirty[victim])
         ++writebacks_;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = tick_;
-    victim->dirty = is_write;
+    keys[victim] = tag;
+    lru[victim] = tick_;
+    dirty[victim] = is_write;
     return false;
 }
 
 bool
 Cache::contains(uint64_t paddr) const
 {
-    const uint32_t set = setOf(paddr);
+    const uint64_t *keys = &keys_[static_cast<size_t>(setOf(paddr)) * assoc_];
     const uint64_t tag = tagOf(paddr);
-    const Line *base = &lines_[static_cast<size_t>(set) * assoc_];
     for (uint32_t w = 0; w < assoc_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (keys[w] == tag)
             return true;
     }
     return false;
@@ -77,13 +86,13 @@ Cache::contains(uint64_t paddr) const
 bool
 Cache::flushLine(uint64_t paddr)
 {
-    const uint32_t set = setOf(paddr);
+    const size_t base = static_cast<size_t>(setOf(paddr)) * assoc_;
     const uint64_t tag = tagOf(paddr);
-    Line *base = &lines_[static_cast<size_t>(set) * assoc_];
     for (uint32_t w = 0; w < assoc_; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag && line.dirty) {
-            line.dirty = false;
+        if (keys_[base + w] == tag) {
+            if (!dirty_[base + w])
+                return false;
+            dirty_[base + w] = 0;
             ++writebacks_;
             return true;
         }
@@ -94,8 +103,9 @@ Cache::flushLine(uint64_t paddr)
 void
 Cache::reset()
 {
-    for (Line &line : lines_)
-        line = Line{};
+    std::fill(keys_.begin(), keys_.end(), kInvalid);
+    std::fill(lru_.begin(), lru_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     tick_ = 0;
 }
 

@@ -65,13 +65,8 @@ class Cache
     }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        uint64_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** Key of an invalid way: tags are below 2^58, never this. */
+    static constexpr uint64_t kInvalid = ~0ull;
 
     uint32_t setOf(uint64_t paddr) const;
     uint64_t tagOf(uint64_t paddr) const;
@@ -80,7 +75,12 @@ class Cache
     uint32_t sets_;
     uint32_t assoc_;
     uint32_t latency_;
-    std::vector<Line> lines_; ///< sets_ * assoc_, set-major
+    unsigned tagShift_; ///< log2(kLineBytes * sets_)
+    // Way state, sets_ * assoc_ entries each, set-major. A set's keys
+    // are contiguous so a lookup compares one short run of words.
+    std::vector<uint64_t> keys_;  ///< tag, or kInvalid
+    std::vector<uint64_t> lru_;   ///< tick of last use; 0 when invalid
+    std::vector<uint8_t> dirty_;
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

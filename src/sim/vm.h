@@ -12,10 +12,12 @@
 #ifndef POAT_SIM_VM_H
 #define POAT_SIM_VM_H
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "pmem/addrspace.h"
 
 namespace poat {
@@ -30,10 +32,16 @@ class PageTable
     translate(uint64_t vaddr)
     {
         const uint64_t vpn = vaddr / kPageSize;
-        auto [it, inserted] = map_.try_emplace(vpn, nextFrame_);
-        if (inserted)
-            ++nextFrame_;
-        return it->second * kPageSize + vaddr % kPageSize;
+        // Consecutive accesses often stay on one page; a mapping never
+        // changes once made, so the memo is always current.
+        if (vpn != lastVpn_) {
+            auto [it, inserted] = map_.try_emplace(vpn, nextFrame_);
+            if (inserted)
+                ++nextFrame_;
+            lastVpn_ = vpn;
+            lastPfn_ = it->second;
+        }
+        return lastPfn_ * kPageSize + vaddr % kPageSize;
     }
 
     /** Frame number of @p vaddr's page (allocating on first touch). */
@@ -48,13 +56,29 @@ class PageTable
   private:
     std::unordered_map<uint64_t, uint64_t> map_;
     uint64_t nextFrame_ = 1; // frame 0 unused so paddr 0 never appears
+    uint64_t lastVpn_ = ~0ull; // no vpn: vaddr / kPageSize < 2^52
+    uint64_t lastPfn_ = 0;
 };
 
-/** Fully associative, true-LRU data TLB. */
+/**
+ * Fully associative, true-LRU data TLB.
+ *
+ * A hit is found in O(1): the most recently used slot is checked
+ * first, then an open-addressing index from VPN to slot. The index
+ * holds exactly the resident VPNs, so it answers "resident?" as the
+ * scan over every slot did. A miss still scans the slots' ages for
+ * the true-LRU victim.
+ */
 class Tlb
 {
   public:
-    explicit Tlb(uint32_t entries) : entries_(entries) {}
+    explicit Tlb(uint32_t entries)
+        : vpn_(entries), lru_(entries),
+          index_(indexSize(entries), kEmpty),
+          mask_(static_cast<uint32_t>(index_.size()) - 1)
+    {
+        POAT_ASSERT(entries != 0, "TLB needs at least one entry");
+    }
 
     /**
      * Look up @p vaddr's page, installing it on miss.
@@ -65,31 +89,39 @@ class Tlb
     {
         const uint64_t vpn = vaddr / kPageSize;
         ++tick_;
-        for (auto &e : slots_) {
-            if (e.vpn == vpn) {
-                e.lru = tick_;
-                ++hits_;
-                return true;
-            }
+        uint32_t slot = mru_;
+        if (slot >= used_ || vpn_[slot] != vpn)
+            slot = find(vpn);
+        if (slot != kEmpty) {
+            lru_[slot] = tick_;
+            mru_ = slot;
+            ++hits_;
+            return true;
         }
         ++misses_;
-        if (slots_.size() < entries_) {
-            slots_.push_back({vpn, tick_});
-            return false;
+        if (used_ < vpn_.size()) {
+            slot = used_++;
+        } else {
+            slot = 0;
+            for (uint32_t s = 1; s < used_; ++s) {
+                if (lru_[s] < lru_[slot])
+                    slot = s;
+            }
+            unindex(vpn_[slot]);
         }
-        auto victim = slots_.begin();
-        for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-            if (it->lru < victim->lru)
-                victim = it;
-        }
-        *victim = {vpn, tick_};
+        vpn_[slot] = vpn;
+        lru_[slot] = tick_;
+        index(slot);
+        mru_ = slot;
         return false;
     }
 
     void
     reset()
     {
-        slots_.clear();
+        std::fill(index_.begin(), index_.end(), kEmpty);
+        used_ = 0;
+        mru_ = 0;
         tick_ = 0;
     }
 
@@ -104,14 +136,72 @@ class Tlb
     }
 
   private:
-    struct Slot
-    {
-        uint64_t vpn;
-        uint64_t lru;
-    };
+    static constexpr uint32_t kEmpty = ~0u;
 
-    uint32_t entries_;
-    std::vector<Slot> slots_;
+    /** Index buckets: a power of two at least 4x the entries. */
+    static size_t
+    indexSize(uint32_t entries)
+    {
+        size_t n = 8;
+        while (n < 4ull * entries)
+            n *= 2;
+        return n;
+    }
+
+    uint32_t
+    home(uint64_t vpn) const
+    {
+        return static_cast<uint32_t>((vpn * 0x9e3779b97f4a7c15ull) >> 32) &
+               mask_;
+    }
+
+    /** Slot holding @p vpn, or kEmpty. */
+    uint32_t
+    find(uint64_t vpn) const
+    {
+        for (uint32_t i = home(vpn);; i = (i + 1) & mask_) {
+            const uint32_t slot = index_[i];
+            if (slot == kEmpty || vpn_[slot] == vpn)
+                return slot;
+        }
+    }
+
+    void
+    index(uint32_t slot)
+    {
+        uint32_t i = home(vpn_[slot]);
+        while (index_[i] != kEmpty)
+            i = (i + 1) & mask_;
+        index_[i] = slot;
+    }
+
+    /** Drop resident @p vpn from the index (linear-probe deletion). */
+    void
+    unindex(uint64_t vpn)
+    {
+        uint32_t hole = home(vpn);
+        while (vpn_[index_[hole]] != vpn)
+            hole = (hole + 1) & mask_;
+        // Shift later members of the probe run back over the hole, so
+        // find() never stops early at it.
+        for (uint32_t i = (hole + 1) & mask_; index_[i] != kEmpty;
+             i = (i + 1) & mask_) {
+            const uint32_t h = home(vpn_[index_[i]]);
+            // Movable iff its home is not cyclically within (hole, i].
+            if (((i - h) & mask_) >= ((i - hole) & mask_)) {
+                index_[hole] = index_[i];
+                hole = i;
+            }
+        }
+        index_[hole] = kEmpty;
+    }
+
+    std::vector<uint64_t> vpn_;    ///< slot -> resident vpn
+    std::vector<uint64_t> lru_;    ///< slot -> tick of last use
+    std::vector<uint32_t> index_;  ///< vpn-hashed buckets -> slot
+    uint32_t mask_;
+    uint32_t used_ = 0; ///< slots [0, used_) are resident
+    uint32_t mru_ = 0;  ///< slot of the last hit or fill
     uint64_t tick_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

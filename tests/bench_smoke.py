@@ -42,6 +42,12 @@ sequential bench accepts --contention with a "no multi-core runs"
 note, and a --timeline-cores run leaves the stats report
 byte-identical.
 
+When a fig_cores binary is given, runs fig_cores --quick live, then
+twice with --trace-cache (capturing, then replaying): stdout and the
+stats report must be byte-identical across all three, including the
+summary block a replayed run rebuilds from the trace sidecar's
+engine.* counters.
+
 When a trace_dump binary is also given, captures a small fig_cores
 sweep with --trace-cache and checks every trace's census: the per-kind
 counts sum to the header's event count, and the multi-core LHT traces
@@ -436,6 +442,33 @@ def check_trace_dump(bench, dump_tool):
         print("OK: trace_dump census complete on %d traces" % len(traces))
 
 
+def check_fig_cores_replay(bench):
+    """fig_cores --quick: live, captured and replayed runs print and
+    report byte-identical results."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "itrace-cache")
+        report = os.path.join(tmp, "fig_cores.json")
+        runs = {}
+        for name, extra in (("live", []),
+                            ("captured", ["--trace-cache=" + cache]),
+                            ("replayed", ["--trace-cache=" + cache])):
+            proc = run_bench([bench, "--quick", "--jobs=2",
+                              "--stats-json=" + report] + extra)
+            with open(report, "rb") as f:
+                runs[name] = (proc.stdout, f.read())
+        traces = [f for f in os.listdir(cache) if f.endswith(".itrace")]
+        if not traces:
+            fail("fig_cores --trace-cache captured no traces")
+        for name in ("captured", "replayed"):
+            if runs[name][0] != runs["live"][0]:
+                fail("%s fig_cores stdout differs from the live run" % name)
+            if runs[name][1] != runs["live"][1]:
+                fail("%s fig_cores stats report differs from the live run"
+                     % name)
+        print("OK: fig_cores --quick live/captured/replayed byte-identical "
+              "(%d traces)" % len(traces))
+
+
 def check_crash_explore(tool):
     """crash_explore: tiny exploration passes; CLI parsing is strict."""
     proc = run_bench([tool, "--workload=LL", "--steps=8", "--jobs=2"])
@@ -547,6 +580,8 @@ def main():
         check_crash_explore(sys.argv[3])
     if len(sys.argv) >= 5:
         check_timeline(bench, sys.argv[4])
+    if len(sys.argv) >= 6:
+        check_fig_cores_replay(sys.argv[5])
     if len(sys.argv) >= 7:
         check_contention(sys.argv[5], bench, sys.argv[6])
     if len(sys.argv) >= 8:

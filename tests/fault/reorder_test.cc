@@ -134,7 +134,7 @@ TEST(Reorder, EveryStagedLineAppearsInTheDrainAnnouncement)
 
 /** Runs the same five-line Strict write schedule under @p hook. */
 template <typename Hook>
-std::vector<uint8_t>
+PoolImage
 durableAfterSchedule(Hook &hook)
 {
     Pool pool("p", 1, 1 << 20);
@@ -171,7 +171,7 @@ TEST(Reorder, FullSubsetDrainIsBitIdenticalToPrefixFreeze)
     // And a proper subset differs from both.
     fault::CrashWithDrain partial(
         0, {DurabilityHook::kFullLineMask, 0, 0});
-    const std::vector<uint8_t> img = durableAfterSchedule(partial);
+    const PoolImage img = durableAfterSchedule(partial);
     EXPECT_NE(img, durableAfterSchedule(prefix));
     EXPECT_NE(img, durableAfterSchedule(before));
 }

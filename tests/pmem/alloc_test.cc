@@ -386,7 +386,7 @@ TEST(Alloc, RebuildSweepMatchesSlotBySlotReference)
         // Reference: check every slot, zero and persist the valid ones.
         std::vector<uint8_t> work(pool.size());
         pool.readRaw(0, work.data(), work.size());
-        std::vector<uint8_t> durable = pool.durableImage();
+        PoolImage durable = pool.durableImage();
         std::vector<uint32_t> persisted;
         for (const auto &[off, size] : extents) {
             for (uint32_t p = off + kSlot; p + kSlot <= off + size;
@@ -416,6 +416,36 @@ TEST(Alloc, RebuildSweepMatchesSlotBySlotReference)
             << "durable images differ";
         EXPECT_EQ(log.lines, persisted);
         EXPECT_TRUE(alloc.validate());
+    }
+}
+
+TEST(Alloc, CreateAttachMatchesSweepingOpenOnFreshPool)
+{
+    // Attach::Create skips the free-extent sweep. On a pool straight
+    // from Pool's create constructor the sweep finds nothing, so both
+    // attaches leave the same images, free list and write-backs.
+    for (uint64_t size : {uint64_t{Pool::kMinSize}, uint64_t{1} << 20,
+                          uint64_t{8} << 20}) {
+        SCOPED_TRACE("size " + std::to_string(size));
+        Pool a("p", 1, size);
+        Pool b("p", 1, size);
+        WriteBackLog la, lb;
+        a.setDurabilityHook(&la);
+        b.setDurabilityHook(&lb);
+        PoolAllocator open(a, PoolAllocator::Attach::Open);
+        PoolAllocator create(b, PoolAllocator::Attach::Create);
+        a.setDurabilityHook(nullptr);
+        b.setDurabilityHook(nullptr);
+
+        EXPECT_EQ(la.lines, lb.lines);
+        EXPECT_TRUE(a.durableView() == b.durableView());
+        std::vector<uint8_t> wa(a.size()), wb(b.size());
+        a.readRaw(0, wa.data(), wa.size());
+        b.readRaw(0, wb.data(), wb.size());
+        EXPECT_TRUE(wa == wb);
+        EXPECT_EQ(create.freeBlockCount(), 1u);
+        EXPECT_EQ(create.freeBytes(), open.freeBytes());
+        EXPECT_TRUE(create.validate());
     }
 }
 

@@ -1,6 +1,7 @@
 /** @file Unit and property tests for Pool storage and durability. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
@@ -202,7 +203,7 @@ TEST(Pool, DurableViewIsZeroCopyAndMatchesImage)
     p.writeAs<uint64_t>(4096, 0xfeedfacecafebeefull);
     p.persist(4096, 8);
 
-    const std::vector<uint8_t> &view = p.durableView();
+    const PoolImage &view = p.durableView();
     EXPECT_EQ(&view, &p.durableView()) << "durableView must not copy";
     EXPECT_EQ(p.durableImage(), view);
 
@@ -216,6 +217,83 @@ TEST(Pool, DurableViewIsZeroCopyAndMatchesImage)
     std::memcpy(&v, view.data() + 4096, 8);
     EXPECT_EQ(v, 7u);
     EXPECT_EQ(p.durableImage(), view);
+}
+
+TEST(Pool, CreatedPoolIsZeroOutsideSuperblock)
+{
+    // A created pool's images are demand-zero storage plus the two
+    // superblock copies; the durable image equals the working one.
+    for (uint64_t size : {uint64_t{Pool::kMinSize}, uint64_t{1} << 20,
+                          uint64_t{8} << 20}) {
+        Pool p = makePool(size);
+        std::vector<uint8_t> work(p.size());
+        p.readRaw(0, work.data(), work.size());
+        const PoolImage &durable = p.durableView();
+        ASSERT_EQ(durable.size(), work.size());
+        EXPECT_TRUE(std::equal(work.begin(), work.end(), durable.begin()));
+        EXPECT_EQ(p.dirtyLineCount(), 0u);
+
+        PoolHeader h{};
+        std::memcpy(&h, work.data(), sizeof(h));
+        EXPECT_TRUE(h.valid(p.size()));
+        std::memcpy(&h, work.data() + PoolHeader::kMirrorOff, sizeof(h));
+        EXPECT_TRUE(h.valid(p.size()));
+        for (size_t i = 0; i < work.size(); ++i) {
+            const bool in_header =
+                i < sizeof(PoolHeader) ||
+                (i >= PoolHeader::kMirrorOff &&
+                 i < PoolHeader::kMirrorOff + sizeof(PoolHeader));
+            if (!in_header) {
+                ASSERT_EQ(work[i], 0u) << "byte " << i;
+            }
+        }
+    }
+}
+
+TEST(PoolImage, FreshImageIsZeroOnRecycledMemory)
+{
+    // PoolImage's value-construct writes nothing, so a fresh image is
+    // zero only because its storage comes from calloc. Recycle blocks
+    // full of junk, small (heap) and large (mmap), and check.
+    for (size_t n : {size_t{64}, size_t{4096}, size_t{1} << 20}) {
+        for (int round = 0; round < 4; ++round) {
+            {
+                PoolImage junk(n);
+                std::fill(junk.begin(), junk.end(), uint8_t{0xab});
+            }
+            const PoolImage fresh(n);
+            ASSERT_EQ(fresh.size(), n);
+            EXPECT_TRUE(std::all_of(fresh.begin(), fresh.end(),
+                                    [](uint8_t b) { return b == 0; }))
+                << n << " bytes, round " << round;
+        }
+    }
+}
+
+TEST(Pool, ImagesAreNeverResizedOrReallocated)
+{
+    // Growing a PoolImage inside its capacity would expose stale bytes
+    // (see ZeroedAllocator), so Pool keeps each image's size and
+    // storage for its whole life: stores, write-backs, evictions and
+    // crashes copy into the existing bytes.
+    Pool p = makePool();
+    const uint64_t size = p.size();
+    const uint8_t *durable = p.durableView().data();
+    Rng rng(3);
+    for (int i = 0; i < 200; ++i) {
+        const uint32_t off = static_cast<uint32_t>(
+            rng.below(size - Pool::kHeaderSize - 8) + Pool::kHeaderSize);
+        p.writeAs<uint64_t>(off, rng.next());
+        if (i % 3 == 0)
+            p.persist(off, 8);
+        if (i % 50 == 49) {
+            p.evictRandomLines(rng, 1, 2);
+            p.crash();
+        }
+        ASSERT_EQ(p.size(), size);
+        ASSERT_EQ(p.durableView().size(), size);
+        ASSERT_EQ(p.durableView().data(), durable);
+    }
 }
 
 } // namespace

@@ -125,5 +125,106 @@ TEST(Registry, ManyPoolsCoexist)
     EXPECT_EQ(r.addressSpace().regionCount(), 200u);
 }
 
+/** Records every durability event a hook sees, in order. */
+struct EventLog final : DurabilityHook
+{
+    bool
+    onWriteBack(Pool &, uint32_t line, WriteBackCause cause) override
+    {
+        const char *why = cause == WriteBackCause::Clwb    ? "clwb"
+                          : cause == WriteBackCause::Fence ? "fence"
+                                                           : "evict";
+        events.push_back(std::string(why) + " " + std::to_string(line));
+        return true;
+    }
+
+    void
+    onFenceDrainBegin(Pool &, const std::vector<uint32_t> &pending) override
+    {
+        std::string e = "drain";
+        for (uint32_t line : pending)
+            e += " " + std::to_string(line);
+        events.push_back(e);
+    }
+
+    std::vector<std::string> events;
+};
+
+TEST(Registry, CloseWritesBackDirtyLinesInAscendingOrder)
+{
+    // Close flushes every dirty line; the hook must see exactly the
+    // write-backs, causes and drain batch of a CLWB over every line of
+    // the pool in address order, then one fence.
+    const uint32_t lines[] = {900, 17, 4095, 300, 17, 5};
+    const std::vector<std::string> eager = {
+        "clwb 300", "clwb 5", "clwb 17", "clwb 900", "clwb 4095"};
+    const std::vector<std::string> strict = {
+        "drain 5 17 300 900 4095", "fence 5", "fence 17",
+        "fence 300", "fence 900", "fence 4095"};
+    for (DurabilityPolicy policy :
+         {DurabilityPolicy::Eager, DurabilityPolicy::Strict}) {
+        PoolRegistry r;
+        r.setDurabilityPolicy(policy);
+        auto &a = r.create("a", 1 << 20);
+        const uint32_t id = a.pool.id();
+        ASSERT_EQ(a.pool.dirtyLineCount(), 0u);
+        EventLog log;
+        r.setDurabilityHook(&log);
+        for (uint32_t line : lines)
+            a.pool.writeAs<uint64_t>(line * kLineSize + 8, line);
+        // Eager: written back now. Strict: staged, fence pending.
+        a.pool.clwb(300 * kLineSize);
+        r.close(id);
+        r.setDurabilityHook(nullptr);
+        EXPECT_EQ(log.events,
+                  policy == DurabilityPolicy::Eager ? eager : strict);
+
+        auto &b = r.open("a");
+        for (uint32_t line : lines)
+            EXPECT_EQ(b.pool.readAs<uint64_t>(line * kLineSize + 8), line);
+    }
+}
+
+TEST(Registry, ReopenSweepsStaleHeadersOutOfFreeExtents)
+{
+    // Create skips the allocator's free-extent sweep (the heap is zero
+    // by construction); open must still run it on the closed image.
+    PoolRegistry r;
+    auto &a = r.create("a", 1 << 20);
+    const uint32_t id = a.pool.id();
+    const uint32_t at = a.pool.header().heap_off + 4096;
+    BlockHeader stale{};
+    stale.size = 64;
+    stale.flags = BlockHeader::kAllocated;
+    stale.seal();
+    a.pool.writeAs(at, stale);
+    r.close(id);
+
+    auto &b = r.open("a");
+    const BlockHeader swept = b.pool.readAs<BlockHeader>(at);
+    EXPECT_FALSE(swept.crcValid());
+    EXPECT_EQ(swept.size, 0u);
+    EXPECT_EQ(b.alloc.freeBlockCount(), 1u);
+    EXPECT_TRUE(b.alloc.validate());
+}
+
+TEST(RegistryDeath, OpenThatRecoveryRejectsConsumesTheImage)
+{
+    // The closed image moves into the pool being opened. When recovery
+    // rejects it, the name goes with it: a retry is an unknown pool,
+    // not an open of an empty image.
+    PoolRegistry r;
+    auto &a = r.create("a", 1 << 20);
+    const uint32_t junk = 0xdeadbeef;
+    a.pool.corruptDurable(offsetof(PoolHeader, pool_id), &junk, 4);
+    a.pool.corruptDurable(PoolHeader::kMirrorOff +
+                              offsetof(PoolHeader, pool_id),
+                          &junk, 4);
+    r.close(a.pool.id());
+    EXPECT_THROW(r.open("a"), MediaError);
+    EXPECT_EXIT(r.open("a"), ::testing::ExitedWithCode(1),
+                "unknown pool name");
+}
+
 } // namespace
 } // namespace poat

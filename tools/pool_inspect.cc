@@ -23,7 +23,7 @@ using namespace poat;
 
 namespace {
 
-std::vector<uint8_t>
+PoolImage
 readFile(const char *path)
 {
     std::FILE *f = std::fopen(path, "rb");
@@ -34,7 +34,7 @@ readFile(const char *path)
     std::fseek(f, 0, SEEK_END);
     const long size = std::ftell(f);
     std::fseek(f, 0, SEEK_SET);
-    std::vector<uint8_t> data(static_cast<size_t>(size));
+    PoolImage data(static_cast<size_t>(size));
     if (std::fread(data.data(), 1, data.size(), f) != data.size()) {
         std::fprintf(stderr, "short read from %s\n", path);
         std::exit(1);
@@ -71,7 +71,7 @@ main(int argc, char **argv)
     const bool show_blocks =
         argc > 2 && std::string(argv[2]) == "--blocks";
 
-    std::vector<uint8_t> image = readFile(argv[1]);
+    PoolImage image = readFile(argv[1]);
     if (image.size() < sizeof(PoolHeader)) {
         std::fprintf(stderr, "file too small to be a pool image\n");
         return 1;
@@ -111,7 +111,7 @@ main(int argc, char **argv)
     // scan) over a reopened Pool: this *is* the recovery path. A
     // MediaError here is itself the answer an operator wants.
     try {
-    Pool pool("inspect", h.pool_id ? h.pool_id : 1, image);
+    Pool pool("inspect", h.pool_id ? h.pool_id : 1, std::move(image));
     PoolAllocator alloc(pool);
     std::printf("heap scan: %s\n",
                 alloc.validate() ? "consistent" : "CORRUPT");
