@@ -8,7 +8,8 @@
  * ratio shows up in host nanoseconds. The Crc32c and Rescan benches
  * time the host cost of pool open: the checksum kernel and the
  * allocator's header scan plus free-extent sweep. PoolCreate times a
- * pool's create path, and the Tlb, PageTable and CacheHierarchy benches
+ * pool's create path, PoolCrash a simulated power failure after a few
+ * stores, and the Tlb, PageTable and CacheHierarchy benches
  * time the simulator's per-access lookups over a seeded address
  * stream.
  */
@@ -251,6 +252,25 @@ BM_PoolCreate(benchmark::State &state)
                             static_cast<int64_t>(size));
 }
 BENCHMARK(BM_PoolCreate)->Arg(8)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+void
+BM_PoolCrash(benchmark::State &state)
+{
+    // Store to eight lines spread over the pool, persist one, crash:
+    // the crash restores the written pages only, so its cost follows
+    // the bytes written, not the pool size. Arg is the pool size in MB.
+    const uint64_t size = static_cast<uint64_t>(state.range(0)) << 20;
+    Pool pool("p", 1, size);
+    const uint32_t stride = static_cast<uint32_t>(size / 8);
+    for (auto _ : state) {
+        for (uint32_t i = 0; i < 8; ++i)
+            pool.writeAs<uint64_t>(Pool::kHeaderSize + i * stride, i + 1);
+        pool.persist(Pool::kHeaderSize, sizeof(uint64_t));
+        pool.crash();
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_PoolCrash)->Arg(1)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 /**
  * 64K seeded virtual addresses shaped like a simulated workload's:

@@ -148,7 +148,8 @@ PoolAllocator::sweepFreeExtents()
     // 0x4f819c8c, not 0), so the slots zeroed and persisted, and their
     // order, are exactly those of a slot-by-slot crc check. Zeroing a
     // slot only rewrites that slot, so the rest of the chunk stays
-    // current.
+    // current. A chunk on pages the pool never wrote is all zero (see
+    // Pool::anyPageWritten), so it is skipped without reading it.
     static_assert(kSweepChunk % kAlign == 0);
     uint8_t chunk[kSweepChunk];
     for (const auto &[free_off, free_size] : freeList_) {
@@ -157,6 +158,8 @@ PoolAllocator::sweepFreeExtents()
              base + sizeof(BlockHeader) <= end; base += kSweepChunk) {
             const uint32_t n = std::min(kSweepChunk, end - base) /
                                kAlign * kAlign;
+            if (!pool_.anyPageWritten(base, n))
+                continue;
             pool_.readRaw(base, chunk, n);
             for (uint32_t i = 0; i < n; i += kAlign) {
                 uint64_t words[2];

@@ -19,6 +19,7 @@ Pool::Pool(std::string name, uint32_t pool_id, uint64_t size,
                 "log region does not fit in pool");
 
     data_ = PoolImage(size);
+    initBookkeeping();
 
     PoolHeader h{};
     h.magic = PoolHeader::kMagic;
@@ -36,8 +37,10 @@ Pool::Pool(std::string name, uint32_t pool_id, uint64_t size,
 
     // A fresh pool is fully durable from the start, like a newly created
     // and synced file. Only the superblock region was written, so the
-    // durable image is zeros plus a copy of it.
-    dirty_.clear();
+    // durable image is zeros plus a copy of it (page 0, which the
+    // superblock stores flagged).
+    std::fill_n(lineState_.begin(), kHeaderSize / kLineSize, uint8_t{0});
+    dirtyCount_ = 0;
     durable_ = PoolImage(size);
     std::memcpy(durable_.data(), data_.data(), kHeaderSize);
 }
@@ -46,6 +49,9 @@ Pool::Pool(std::string name, uint32_t pool_id, PoolImage durable_image)
     : name_(std::move(name)), id_(pool_id), data_(std::move(durable_image))
 {
     POAT_ASSERT(data_.size() >= kHeaderSize, "pool image too small");
+    initBookkeeping();
+    // Any page of an image may hold data.
+    markWritten(0, data_.size());
     PoolHeader primary{};
     std::memcpy(&primary, data_.data(), sizeof(primary));
     if (primary.valid(data_.size())) {
@@ -66,6 +72,38 @@ Pool::Pool(std::string name, uint32_t pool_id, PoolImage durable_image)
         cachedHeader_ = mirror;
     }
     durable_ = data_;
+}
+
+void
+Pool::initBookkeeping()
+{
+    const uint64_t pages = (data_.size() + kPageSize - 1) / kPageSize;
+    pageWritten_ = decltype(pageWritten_)(pages);
+    lineState_ =
+        decltype(lineState_)((data_.size() + kLineSize - 1) / kLineSize);
+}
+
+void
+Pool::markWritten(uint64_t off, uint64_t n)
+{
+    for (uint64_t page = off / kPageSize; page <= (off + n - 1) / kPageSize;
+         ++page) {
+        if (pageWritten_[page] == 0) {
+            pageWritten_[page] = 1;
+            writtenPages_.push_back(static_cast<uint32_t>(page));
+        }
+    }
+}
+
+bool
+Pool::anyPageWritten(uint64_t off, uint64_t n) const
+{
+    for (uint64_t page = off / kPageSize; page <= (off + n - 1) / kPageSize;
+         ++page) {
+        if (pageWritten_[page] != 0)
+            return true;
+    }
+    return false;
 }
 
 void
@@ -91,7 +129,10 @@ Pool::corruptDurable(uint32_t off, const void *src, size_t n)
 {
     POAT_ASSERT(static_cast<uint64_t>(off) + n <= durable_.size(),
                 "media fault out of range");
+    if (n == 0)
+        return;
     std::memcpy(durable_.data() + off, src, n);
+    markWritten(off, n);
 }
 
 void
@@ -99,12 +140,16 @@ Pool::writeRaw(uint32_t off, const void *src, size_t n)
 {
     POAT_ASSERT(static_cast<uint64_t>(off) + n <= data_.size(),
                 "pool write out of range");
+    if (n == 0)
+        return;
     std::memcpy(data_.data() + off, src, n);
+    markWritten(off, n);
     const uint32_t first = off / kLineSize;
     const uint32_t last = (off + static_cast<uint32_t>(n) - 1) / kLineSize;
     for (uint32_t line = first; line <= last; ++line) {
-        dirty_.insert(line);
-        staged_.erase(line); // a new store re-dirties a staged line
+        uint8_t &s = lineState_[line];
+        dirtyCount_ += (s & kDirty) == 0;
+        s = kDirty; // a new store re-dirties a staged line
     }
 }
 
@@ -154,58 +199,75 @@ void
 Pool::clwb(uint32_t off)
 {
     const uint32_t line = off / kLineSize;
-    if (!dirty_.count(line))
+    uint8_t &s = lineState_[line];
+    if ((s & kDirty) == 0)
         return; // clean line: CLWB is a no-op
     if (policy_ == DurabilityPolicy::Eager) {
         writeBackLine(line, WriteBackCause::Clwb);
-        dirty_.erase(line);
-    } else {
-        staged_.insert(line);
+        s &= ~kDirty; // staged under Strict: the next fence still drains it
+        --dirtyCount_;
+    } else if ((s & kStaged) == 0) {
+        s |= kStaged;
+        staged_.push_back(line);
     }
 }
 
 void
 Pool::fence()
 {
-    if (staged_.empty())
-        return;
-    // Drain in sorted line order: the hash set's iteration order is
-    // build-local, and the crash-point explorer indexes drain events by
-    // position, so the order must be a deterministic function of the
-    // staged set. The hook sees the whole batch before the first
-    // write-back (a mid-drain power failure persists any subset).
+    // Drain in ascending line order: the crash-point explorer indexes
+    // drain events by position, so the order must be a deterministic
+    // function of the staged set. The hook sees the whole batch before
+    // the first write-back (a mid-drain power failure persists any
+    // subset).
     const std::vector<uint32_t> lines = stagedLines();
+    if (lines.empty()) {
+        staged_.clear();
+        return;
+    }
     if (hook_ != nullptr)
         hook_->onFenceDrainBegin(*this, lines);
     for (uint32_t line : lines) {
         writeBackLine(line, WriteBackCause::Fence);
-        dirty_.erase(line);
+        dirtyCount_ -= (lineState_[line] & kDirty) != 0;
+        lineState_[line] = 0;
     }
     staged_.clear();
 }
 
-namespace {
-
-std::vector<uint32_t>
-sortedLines(const std::unordered_set<uint32_t> &set)
-{
-    std::vector<uint32_t> lines(set.begin(), set.end());
-    std::sort(lines.begin(), lines.end());
-    return lines;
-}
-
-} // namespace
-
 std::vector<uint32_t>
 Pool::stagedLines() const
 {
-    return sortedLines(staged_);
+    std::vector<uint32_t> lines;
+    for (uint32_t line : staged_) {
+        if (lineState_[line] & kStaged)
+            lines.push_back(line);
+    }
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    return lines;
 }
 
 std::vector<uint32_t>
 Pool::dirtyLines() const
 {
-    return sortedLines(dirty_);
+    // Only a store dirties a line, and a store flags its page.
+    std::vector<uint32_t> lines;
+    lines.reserve(dirtyCount_);
+    constexpr uint64_t kLinesPerPage = kPageSize / kLineSize;
+    for (uint32_t page : writtenPages_) {
+        if (lines.size() == dirtyCount_)
+            break;
+        const uint64_t first = page * kLinesPerPage;
+        const uint64_t end =
+            std::min<uint64_t>(first + kLinesPerPage, lineState_.size());
+        for (uint64_t line = first; line < end; ++line) {
+            if (lineState_[line] & kDirty)
+                lines.push_back(static_cast<uint32_t>(line));
+        }
+    }
+    std::sort(lines.begin(), lines.end());
+    return lines;
 }
 
 void
@@ -233,13 +295,12 @@ Pool::lineSpan(uint32_t off, size_t n)
 void
 Pool::evictRandomLines(Rng &rng, uint64_t num, uint64_t den)
 {
-    // Walk the dirty lines in sorted order, as fence() drains: the hash
-    // set's iteration order is build-local, and each line consumes one
-    // RNG draw, so the eviction schedule of an ":eNUM/DEN" reproducer
-    // must not depend on it.
+    // Walk the dirty lines in ascending order, as fence() drains: each
+    // line consumes one RNG draw, so the eviction schedule of an
+    // ":eNUM/DEN" reproducer must be a function of the dirty set alone.
     std::vector<uint32_t> evicted;
     for (uint32_t line : dirtyLines()) {
-        if (staged_.count(line))
+        if (lineState_[line] & kStaged)
             continue;
         if (rng.chance(num, den)) {
             writeBackLine(line, WriteBackCause::Evict);
@@ -247,14 +308,26 @@ Pool::evictRandomLines(Rng &rng, uint64_t num, uint64_t den)
         }
     }
     for (uint32_t line : evicted)
-        dirty_.erase(line);
+        lineState_[line] = 0;
+    dirtyCount_ -= evicted.size();
 }
 
 void
 Pool::crash()
 {
-    data_ = durable_;
-    dirty_.clear();
+    // An unwritten page is zero in both images, so only written pages
+    // can differ; only they can hold dirty or staged lines.
+    constexpr uint64_t kLinesPerPage = kPageSize / kLineSize;
+    for (uint32_t page : writtenPages_) {
+        const uint64_t off = page * kPageSize;
+        const uint64_t n = std::min<uint64_t>(kPageSize, data_.size() - off);
+        std::memcpy(data_.data() + off, durable_.data() + off, n);
+        const uint64_t line = page * kLinesPerPage;
+        std::fill_n(lineState_.begin() + line,
+                    std::min(kLinesPerPage, lineState_.size() - line),
+                    uint8_t{0});
+    }
+    dirtyCount_ = 0;
     staged_.clear();
     refreshHeader();
 }

@@ -16,6 +16,12 @@
  * at any moment, tests can also force random early evictions; correct
  * failure-safe code (the undo log) must tolerate both extremes, which is
  * exactly what the recovery property tests check.
+ *
+ * Cost model. The volatile bookkeeping tracks only what was touched: a
+ * flag per 4 KB page that was ever written (in either image) and a
+ * state byte per 64-byte line. A crash copies back only the written
+ * pages, and the allocator's free-extent sweep skips unwritten ones,
+ * so a crash trial costs the bytes it wrote, not the pool size.
  */
 #ifndef POAT_PMEM_POOL_H
 #define POAT_PMEM_POOL_H
@@ -25,7 +31,6 @@
 #include <cstring>
 #include <new>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
@@ -138,12 +143,18 @@ enum class WriteBackCause : uint8_t
 };
 
 /**
- * Allocator of pool images. Storage comes from calloc, so it is zero
- * from the start, and value-construction (what `PoolImage(n)` does to
- * each byte) is a no-op. A fresh image therefore costs no write: glibc
- * serves a large calloc with fresh mmap'd pages that stay unbacked
- * until something stores to them, and reading the bytes back yields
- * the zeros calloc promised. Small images reuse warm heap memory.
+ * Allocator of pool images and of Pool's per-page and per-line
+ * bookkeeping. Storage comes from calloc, so it is zero from the
+ * start, and value-construction (what `PoolImage(n)` does to each
+ * byte) is a no-op: a fresh image costs no write of its own. Whether
+ * calloc itself writes depends on where glibc serves the block from.
+ * The first large block of a size comes from fresh mmap'd pages that
+ * stay unbacked until something stores to them. But glibc raises its
+ * mmap threshold to the size of each mmap'd block it frees (up to
+ * 32 MB), so after the first free, later images of that size (1 MB
+ * and 29 MB alike) come from the brk heap, where calloc memsets
+ * recycled memory. "Demand-zero" therefore holds only for the first
+ * image of a size; the others are zeroed at calloc's memset speed.
  *
  * The no-op construct is only sound on memory calloc just returned.
  * Growing a vector inside its capacity (resize after a shrink) would
@@ -201,7 +212,7 @@ class Pool;
  * Every 64-byte line write-back into the durable image — the only way
  * data ever becomes persistent — first consults the installed hook.
  * Returning true lets the write-back happen; returning false suppresses
- * the durable copy while all volatile bookkeeping (dirty/staged sets)
+ * the durable copy while all volatile bookkeeping (dirty/staged lines)
  * proceeds unchanged, so the program's execution after a suppressed
  * write-back is bit-identical to an uninjected run. A crash-point
  * explorer uses this to freeze the durable image after the first k
@@ -358,7 +369,11 @@ class Pool
      */
     void evictRandomLines(Rng &rng, uint64_t num, uint64_t den);
 
-    /** Simulate power failure: the working image reverts to durable. */
+    /**
+     * Simulate power failure: the working image reverts to durable.
+     * Copies only the written pages (see anyPageWritten); every other
+     * page is zero in both images already.
+     */
     void crash();
 
     /** Copy of the durable image (for offline recovery testing). */
@@ -390,7 +405,7 @@ class Pool
     DurabilityPolicy durabilityPolicy() const { return policy_; }
 
     /** Count of lines dirty in cache and not yet written back. */
-    size_t dirtyLineCount() const { return dirty_.size(); }
+    size_t dirtyLineCount() const { return dirtyCount_; }
 
     /** Lines dirty in cache and not yet written back, ascending. */
     std::vector<uint32_t> dirtyLines() const;
@@ -425,6 +440,16 @@ class Pool
     void corruptDurable(uint32_t off, const void *src, size_t n);
 
     /**
+     * Whether any kPageSize page overlapping [off, off+n), n > 0, was
+     * written: stores, media faults and reopening from an image flag
+     * the pages they touch, and nothing clears a flag. Durable bytes
+     * change only by writing back a stored line, by corruptDurable,
+     * and by the create-time superblock copy, so an unflagged page is
+     * zero in both the working and the durable image.
+     */
+    bool anyPageWritten(uint64_t off, uint64_t n) const;
+
+    /**
      * Host-side checksum work accounting. Each pool defaults to a
      * private counter block; the registry points all of its pools at
      * one shared block so `pmem.checksum.*` aggregates per process.
@@ -451,15 +476,34 @@ class Pool
     }
 
   private:
+    /// @name lineState_ bits
+    /// @{
+    static constexpr uint8_t kDirty = 1;  ///< modified, not written back
+    static constexpr uint8_t kStaged = 2; ///< CLWB'd, fence pending
+    /// @}
+
     void writeBackLine(uint32_t line, WriteBackCause cause);
+    void markWritten(uint64_t off, uint64_t n);
+    /** Size the page and line bookkeeping for data_ (all clear). */
+    void initBookkeeping();
 
     std::string name_;
     uint32_t id_;
     uint64_t vbase_ = 0;
     PoolImage data_;    ///< working image (memory + caches)
     PoolImage durable_; ///< NVM image
-    std::unordered_set<uint32_t> dirty_;  ///< lines modified, not flushed
-    std::unordered_set<uint32_t> staged_; ///< lines CLWB'd, fence pending
+    /** One flag per page: may be nonzero in either image. */
+    std::vector<uint8_t, ZeroedAllocator<uint8_t>> pageWritten_;
+    std::vector<uint32_t> writtenPages_; ///< the flagged pages, unsorted
+    /** One kDirty | kStaged byte per line; set only on written pages. */
+    std::vector<uint8_t, ZeroedAllocator<uint8_t>> lineState_;
+    size_t dirtyCount_ = 0; ///< lines with kDirty set
+    /**
+     * Lines CLWB'd since the last fence, in CLWB order. A store that
+     * re-dirties a staged line clears its kStaged bit but leaves the
+     * entry, so readers filter on kStaged and drop duplicates.
+     */
+    std::vector<uint32_t> staged_;
     DurabilityPolicy policy_ = DurabilityPolicy::Eager;
     DurabilityHook *hook_ = nullptr; ///< not owned; may be null
     PoolHeader cachedHeader_{};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace poat {
 
@@ -77,20 +78,29 @@ PoolRegistry::close(uint32_t pool_id)
     disk_[p.name()] = p.takeDurableImage();
     space_.unmap(p.vbase());
     open_.erase(it);
+    lastId_ = 0;
+    lastPool_ = nullptr;
 }
 
 OpenPool *
 PoolRegistry::find(uint32_t pool_id)
 {
-    auto it = open_.find(pool_id);
-    return it == open_.end() ? nullptr : it->second.get();
+    return const_cast<OpenPool *>(std::as_const(*this).find(pool_id));
 }
 
 const OpenPool *
 PoolRegistry::find(uint32_t pool_id) const
 {
+    // Only close() removes an open pool, and it clears the memo; an
+    // OpenPool never moves while open (open_ holds it by unique_ptr).
+    if (pool_id == lastId_ && pool_id != 0)
+        return lastPool_;
     auto it = open_.find(pool_id);
-    return it == open_.end() ? nullptr : it->second.get();
+    if (it == open_.end())
+        return nullptr;
+    lastId_ = pool_id;
+    lastPool_ = it->second.get();
+    return lastPool_;
 }
 
 OpenPool &

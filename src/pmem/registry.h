@@ -147,7 +147,11 @@ class PoolRegistry
     /** Close a pool: unmap it and keep its durable image on "disk". */
     void close(uint32_t pool_id);
 
-    /** Look up an open pool by id; nullptr if not open. */
+    /**
+     * Look up an open pool by id; nullptr if not open. Memoises the
+     * last pool found: every traced load and store looks its pool up,
+     * and consecutive accesses mostly hit the same pool.
+     */
     OpenPool *find(uint32_t pool_id);
     const OpenPool *find(uint32_t pool_id) const;
 
@@ -216,6 +220,9 @@ class PoolRegistry
     DurabilityHook *hook_ = nullptr; ///< installed on every pool
     DurabilityPolicy policy_ = DurabilityPolicy::Eager;
     std::unordered_map<uint32_t, std::unique_ptr<OpenPool>> open_;
+    /** find()'s memo; id 0 (never a pool) = empty, cleared on close. */
+    mutable uint32_t lastId_ = 0;
+    mutable OpenPool *lastPool_ = nullptr;
     std::unordered_map<std::string, uint32_t> idByName_;
     std::unordered_map<std::string, PoolImage> disk_;
 };

@@ -1,8 +1,10 @@
 /** @file Unit and property tests for the in-pool allocator. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -304,6 +306,74 @@ struct WriteBackLog final : DurabilityHook
     std::vector<uint32_t> lines;
 };
 
+using Extents = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/** The free extents (offset, size), from the block header chain. */
+Extents
+freeExtents(const Pool &pool)
+{
+    Extents extents;
+    const uint32_t heap_end =
+        pool.header().heap_off + pool.header().heap_size;
+    for (uint32_t off = pool.header().heap_off; off < heap_end;) {
+        BlockHeader h{};
+        pool.readRaw(off, &h, sizeof(h));
+        EXPECT_TRUE(h.crcValid()) << "block at " << off;
+        if (!h.crcValid())
+            break;
+        if (!h.allocated())
+            extents.emplace_back(off, h.size);
+        off += h.size;
+    }
+    return extents;
+}
+
+/**
+ * The free-extent sweep without shortcuts: crc-check every slot of
+ * every extent of @p pool, zero and persist the valid ones. Returns
+ * the expected working and durable images and the lines written back,
+ * in order.
+ */
+struct ReferenceSweep
+{
+    explicit ReferenceSweep(const Pool &pool)
+        : work(pool.size()), durable(pool.durableImage())
+    {
+        constexpr uint32_t kSlot = sizeof(BlockHeader);
+        pool.readRaw(0, work.data(), work.size());
+        for (const auto &[off, size] : freeExtents(pool)) {
+            for (uint32_t p = off + kSlot; p + kSlot <= off + size;
+                 p += kSlot) {
+                BlockHeader h{};
+                std::memcpy(&h, work.data() + p, sizeof(h));
+                if (!h.crcValid())
+                    continue;
+                std::memset(work.data() + p, 0, kSlot);
+                const uint32_t line = p / kLineSize;
+                std::memcpy(durable.data() + line * kLineSize,
+                            work.data() + line * kLineSize, kLineSize);
+                persisted.push_back(line);
+            }
+        }
+    }
+
+    /** Check @p pool, just swept while @p log recorded, against this. */
+    void
+    expectMatches(const Pool &pool, const std::vector<uint32_t> &log) const
+    {
+        std::vector<uint8_t> swept(pool.size());
+        pool.readRaw(0, swept.data(), swept.size());
+        EXPECT_TRUE(swept == work) << "working images differ";
+        EXPECT_TRUE(pool.durableView() == durable)
+            << "durable images differ";
+        EXPECT_EQ(log, persisted);
+    }
+
+    std::vector<uint8_t> work;
+    PoolImage durable;
+    std::vector<uint32_t> persisted;
+};
+
 TEST(Alloc, RebuildSweepMatchesSlotBySlotReference)
 {
     // The sweep reads free extents in kSweepChunk pieces and skips
@@ -329,18 +399,7 @@ TEST(Alloc, RebuildSweepMatchesSlotBySlotReference)
                 alloc.free(off);
         }
 
-        // The free extents, from the header chain.
-        std::vector<std::pair<uint32_t, uint32_t>> extents;
-        const uint32_t heap_end =
-            pool.header().heap_off + pool.header().heap_size;
-        for (uint32_t off = pool.header().heap_off; off < heap_end;) {
-            BlockHeader h{};
-            pool.readRaw(off, &h, sizeof(h));
-            ASSERT_TRUE(h.crcValid());
-            if (!h.allocated())
-                extents.emplace_back(off, h.size);
-            off += h.size;
-        }
+        const Extents extents = freeExtents(pool);
         ASSERT_GT(extents.size(), 1u);
 
         // Plant zeros, junk and crc-valid headers in extent interiors;
@@ -383,39 +442,120 @@ TEST(Alloc, RebuildSweepMatchesSlotBySlotReference)
             }
         }
 
-        // Reference: check every slot, zero and persist the valid ones.
-        std::vector<uint8_t> work(pool.size());
-        pool.readRaw(0, work.data(), work.size());
-        PoolImage durable = pool.durableImage();
-        std::vector<uint32_t> persisted;
-        for (const auto &[off, size] : extents) {
-            for (uint32_t p = off + kSlot; p + kSlot <= off + size;
-                 p += kSlot) {
-                BlockHeader h{};
-                std::memcpy(&h, work.data() + p, sizeof(h));
-                if (!h.crcValid())
-                    continue;
-                std::memset(work.data() + p, 0, kSlot);
-                const uint32_t line = p / kLineSize;
-                std::memcpy(durable.data() + line * kLineSize,
-                            work.data() + line * kLineSize, kLineSize);
-                persisted.push_back(line);
-            }
-        }
-        ASSERT_FALSE(persisted.empty());
+        const ReferenceSweep ref(pool);
+        ASSERT_FALSE(ref.persisted.empty());
 
         WriteBackLog log;
         pool.setDurabilityHook(&log);
         alloc.rescan();
         pool.setDurabilityHook(nullptr);
-
-        std::vector<uint8_t> swept(pool.size());
-        pool.readRaw(0, swept.data(), swept.size());
-        EXPECT_TRUE(swept == work) << "working images differ";
-        EXPECT_TRUE(pool.durableImage() == durable)
-            << "durable images differ";
-        EXPECT_EQ(log.lines, persisted);
+        ref.expectMatches(pool, log.lines);
         EXPECT_TRUE(alloc.validate());
+    }
+}
+
+TEST(Alloc, SweepSkipsOnlyZeroPages)
+{
+    // The sweep skips chunks on pages the pool never wrote. On sparse
+    // heaps, where most of a free extent was never written, it must
+    // still zero and persist exactly the slots an unskipped sweep
+    // would, in the same order: on a churned pool, after a crash, and
+    // after a close/reopen. Stale crc-valid headers sit at the first
+    // or last slot of a chunk (a chunk spans two pages, the other one
+    // usually unwritten) and at random slots; about half are persisted.
+    constexpr uint32_t kSlot = sizeof(BlockHeader);
+    constexpr uint32_t kChunk = PoolAllocator::kSweepChunk;
+    enum Phase { Churned, Crashed, Reopened };
+    for (Phase phase : {Churned, Crashed, Reopened}) {
+        for (uint64_t seed : {1, 2, 3, 4}) {
+            SCOPED_TRACE("phase " + std::to_string(phase) + " seed " +
+                         std::to_string(seed));
+            Rng rng(seed);
+            Pool pool("p", 1, 1 << 20);
+            PoolAllocator churn(pool);
+            std::vector<uint32_t> live;
+            for (int i = 0; i < 24; ++i) {
+                const uint64_t size = rng.chance(1, 3)
+                                          ? rng.range(8000, 120000)
+                                          : rng.range(16, 600);
+                const uint32_t off =
+                    churn.alloc(static_cast<uint32_t>(size));
+                if (off == 0)
+                    break;
+                live.push_back(off);
+            }
+            for (uint32_t off : live) {
+                if (rng.chance(1, 2))
+                    churn.free(off);
+            }
+
+            auto plant = [&](uint32_t at) {
+                BlockHeader h{};
+                h.size = static_cast<uint32_t>(rng.below(4)) *
+                         PoolAllocator::kAlign;
+                h.flags = static_cast<uint32_t>(rng.below(2));
+                h.prev_size = static_cast<uint32_t>(rng.next());
+                h.seal();
+                pool.writeRaw(at, &h, sizeof(h));
+                if (rng.chance(1, 2))
+                    pool.persist(at, sizeof(h));
+            };
+            const Extents extents = freeExtents(pool);
+            for (const auto &[off, size] : extents) {
+                const uint32_t first = off + kSlot;
+                const uint32_t end = off + size;
+                for (uint32_t c = first; c + kSlot <= end; c += kChunk) {
+                    const uint32_t n = std::min(kChunk, end - c) /
+                                       PoolAllocator::kAlign *
+                                       PoolAllocator::kAlign;
+                    switch (rng.below(8)) {
+                    case 0:
+                        plant(c);
+                        break;
+                    case 1:
+                        plant(c + n - kSlot);
+                        break;
+                    case 2:
+                        plant(first + static_cast<uint32_t>(rng.below(
+                                          (end - first) / kSlot)) *
+                                          kSlot);
+                        break;
+                    default:
+                        break;
+                    }
+                }
+            }
+
+            uint32_t skippable = 0;
+            for (const auto &[off, size] : extents) {
+                for (uint32_t c = off + kSlot; c + kSlot <= off + size;
+                     c += kChunk) {
+                    skippable += !pool.anyPageWritten(
+                        c, std::min(kChunk, off + size - c));
+                }
+            }
+            ASSERT_GT(skippable, 20u) << "heap is not sparse";
+
+            if (phase == Crashed)
+                pool.crash();
+            std::unique_ptr<Pool> reopened;
+            if (phase == Reopened)
+                reopened = std::make_unique<Pool>("p", 1, pool.durableImage());
+            Pool &swept = reopened ? *reopened : pool;
+            const ReferenceSweep ref(swept);
+            ASSERT_FALSE(ref.persisted.empty());
+            WriteBackLog log;
+            swept.setDurabilityHook(&log);
+            if (reopened) {
+                PoolAllocator open(swept);
+                EXPECT_TRUE(open.validate());
+            } else {
+                churn.rescan();
+                EXPECT_TRUE(churn.validate());
+            }
+            swept.setDurabilityHook(nullptr);
+            ref.expectMatches(swept, log.lines);
+        }
     }
 }
 

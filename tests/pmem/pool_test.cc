@@ -3,6 +3,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "pmem/pool.h"
@@ -293,6 +297,202 @@ TEST(Pool, ImagesAreNeverResizedOrReallocated)
         ASSERT_EQ(p.size(), size);
         ASSERT_EQ(p.durableView().size(), size);
         ASSERT_EQ(p.durableView().data(), durable);
+    }
+}
+
+/** Vetoes or tears a seeded share of write-backs; logs every one. */
+struct TearingLog final : DurabilityHook
+{
+    explicit TearingLog(uint64_t seed) : rng(seed) {}
+
+    bool
+    onWriteBack(Pool &, uint32_t, WriteBackCause) override
+    {
+        return true;
+    }
+
+    uint8_t
+    onWriteBackWords(Pool &, uint32_t line, WriteBackCause cause) override
+    {
+        events.emplace_back(line, cause);
+        switch (rng.below(4)) {
+        case 0:
+            return 0; // suppressed
+        case 1:
+            return static_cast<uint8_t>(rng.next()); // torn
+        default:
+            return kFullLineMask;
+        }
+    }
+
+    /** The events since the last call. */
+    std::vector<std::pair<uint32_t, WriteBackCause>>
+    take()
+    {
+        return std::exchange(events, {});
+    }
+
+    Rng rng;
+    std::vector<std::pair<uint32_t, WriteBackCause>> events;
+};
+
+/** Every page the pool has not flagged is zero in both images. */
+void
+expectUnwrittenPagesZero(const Pool &p)
+{
+    std::vector<uint8_t> work(p.size());
+    p.readRaw(0, work.data(), work.size());
+    const PoolImage &durable = p.durableView();
+    for (uint64_t off = 0; off < p.size(); off += kPageSize) {
+        if (p.anyPageWritten(off, 1))
+            continue;
+        const uint64_t end = std::min<uint64_t>(off + kPageSize, p.size());
+        for (uint64_t i = off; i < end; ++i) {
+            ASSERT_EQ(work[i], 0u) << "working byte " << i;
+            ASSERT_EQ(durable[i], 0u) << "durable byte " << i;
+        }
+    }
+}
+
+TEST(Pool, CrashRestoresOnlyWrittenPagesExactly)
+{
+    // crash() copies back only the written pages. After any mix of
+    // stores, vetoed and torn write-backs, evictions, media faults and
+    // a close/reopen, the post-crash working image must equal the
+    // durable image (what a full copy gives), and the dirty and staged
+    // lines must follow a set model, drained and evicted in ascending
+    // order. Stores go to a few pages, often across a page boundary;
+    // media faults land anywhere, mostly on unwritten pages.
+    using Events = std::vector<std::pair<uint32_t, WriteBackCause>>;
+    for (DurabilityPolicy policy :
+         {DurabilityPolicy::Eager, DurabilityPolicy::Strict}) {
+        for (uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) +
+                         (policy == DurabilityPolicy::Eager ? " eager"
+                                                            : " strict"));
+            Rng rng(seed);
+            TearingLog log(seed + 100);
+            // Not a page multiple: the last page is short.
+            auto p = std::make_unique<Pool>("p", 1, (1 << 20) + 3 * kLineSize);
+            p->setDurabilityPolicy(policy);
+            p->setDurabilityHook(&log);
+            const uint64_t pages = (p->size() + kPageSize - 1) / kPageSize;
+            std::vector<uint64_t> hot;
+            for (int i = 0; i < 12; ++i)
+                hot.push_back(1 + rng.below(pages - 1));
+            hot.push_back(pages - 1);
+
+            std::set<uint32_t> dirty, staged;
+            auto clwb = [&](uint32_t line) {
+                p->clwb(line * kLineSize);
+                if (!dirty.count(line))
+                    return;
+                if (policy == DurabilityPolicy::Eager) {
+                    EXPECT_EQ(log.take(),
+                              (Events{{line, WriteBackCause::Clwb}}));
+                    dirty.erase(line);
+                } else {
+                    staged.insert(line);
+                }
+            };
+            auto fence = [&] {
+                p->fence();
+                Events want;
+                for (uint32_t line : staged) {
+                    want.emplace_back(line, WriteBackCause::Fence);
+                    dirty.erase(line);
+                }
+                staged.clear();
+                EXPECT_EQ(log.take(), want);
+            };
+
+            for (int round = 0; round < 8; ++round) {
+                for (int i = 0; i < 150; ++i) {
+                    const uint64_t page = hot[rng.below(hot.size())];
+                    const uint64_t in_page = rng.chance(1, 2)
+                                                 ? kPageSize - 1 - rng.below(48)
+                                                 : rng.below(kPageSize);
+                    const uint64_t off = std::min<uint64_t>(
+                        page * kPageSize + in_page, p->size() - 1);
+                    const uint64_t n = std::min<uint64_t>(
+                        1 + rng.below(160), p->size() - off);
+                    const uint32_t off32 = static_cast<uint32_t>(off);
+                    const uint64_t op = rng.below(16);
+                    if (op < 8) {
+                        std::vector<uint8_t> bytes(n);
+                        for (uint8_t &b : bytes)
+                            b = static_cast<uint8_t>(rng.next() | 1);
+                        p->writeRaw(off32, bytes.data(), n);
+                        for (uint64_t l = off / kLineSize;
+                             l <= (off + n - 1) / kLineSize; ++l) {
+                            dirty.insert(static_cast<uint32_t>(l));
+                            staged.erase(static_cast<uint32_t>(l));
+                        }
+                    } else if (op < 11) {
+                        clwb(off32 / kLineSize);
+                    } else if (op < 12) {
+                        fence();
+                    } else if (op < 14) {
+                        for (uint64_t l = off / kLineSize;
+                             l <= (off + n - 1) / kLineSize; ++l)
+                            clwb(static_cast<uint32_t>(l));
+                        fence();
+                    } else if (op < 15) {
+                        p->evictRandomLines(rng, 1, 3);
+                        uint32_t prev = 0;
+                        for (const auto &[line, cause] : log.take()) {
+                            EXPECT_EQ(cause, WriteBackCause::Evict);
+                            EXPECT_TRUE(dirty.count(line) &&
+                                        !staged.count(line));
+                            EXPECT_LE(prev, line);
+                            prev = line + 1;
+                            dirty.erase(line);
+                        }
+                    } else {
+                        const uint64_t at =
+                            rng.below(p->size() - Pool::kHeaderSize - 8) +
+                            Pool::kHeaderSize;
+                        const uint64_t junk = rng.next() | 1;
+                        p->corruptDurable(static_cast<uint32_t>(at), &junk,
+                                          sizeof(junk));
+                    }
+                    ASSERT_TRUE(log.events.empty());
+                    ASSERT_EQ(p->dirtyLineCount(), dirty.size());
+                    ASSERT_EQ(p->stagedLines(),
+                              std::vector<uint32_t>(staged.begin(),
+                                                    staged.end()));
+                }
+                ASSERT_EQ(p->dirtyLines(),
+                          std::vector<uint32_t>(dirty.begin(), dirty.end()));
+
+                const PoolImage reference = p->durableImage();
+                p->crash();
+                dirty.clear();
+                staged.clear();
+                std::vector<uint8_t> work(p->size());
+                p->readRaw(0, work.data(), work.size());
+                ASSERT_TRUE(std::equal(work.begin(), work.end(),
+                                       reference.begin()))
+                    << "round " << round;
+                ASSERT_TRUE(p->durableView() == reference);
+                EXPECT_EQ(p->dirtyLineCount(), 0u);
+                EXPECT_TRUE(p->dirtyLines().empty());
+                EXPECT_TRUE(p->stagedLines().empty());
+                expectUnwrittenPagesZero(*p);
+
+                if (round == 4) {
+                    // Close and reopen: every page of the image is
+                    // flagged, since any of them may hold data.
+                    p = std::make_unique<Pool>("p", 1, p->durableImage());
+                    p->setDurabilityPolicy(policy);
+                    p->setDurabilityHook(&log);
+                    for (uint64_t pg = 0; pg < pages; ++pg) {
+                        ASSERT_TRUE(p->anyPageWritten(pg * kPageSize, 1))
+                            << "page " << pg;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -42,6 +42,41 @@ TEST(Registry, FindAndGet)
     EXPECT_EQ(&r.get(a.pool.id()), &a);
 }
 
+TEST(Registry, FindMemoFollowsOpenCloseCrashAndRecover)
+{
+    // find() memoises the last pool found. Lookups must stay right as
+    // pools open, close (the memo's pool included), crash and recover.
+    PoolRegistry r;
+    OpenPool *a = &r.create("a", 1 << 20);
+    OpenPool *b = &r.create("b", 1 << 20);
+    const uint32_t ia = a->pool.id(), ib = b->pool.id();
+    const PoolRegistry &cr = r;
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(r.find(ia), a);
+        EXPECT_EQ(cr.find(ib), b);
+        EXPECT_EQ(r.find(ib), b);
+        EXPECT_EQ(r.find(0), nullptr);
+        EXPECT_EQ(cr.find(ia), a);
+    }
+    r.close(ia); // a is the memo
+    EXPECT_EQ(r.find(ia), nullptr);
+    EXPECT_EQ(r.find(ib), b);
+    a = &r.open("a");
+    EXPECT_EQ(r.find(ia), a);
+    EXPECT_EQ(r.find(ib), b);
+    r.crashAll();
+    EXPECT_EQ(r.find(ib), b);
+    r.recoverAll();
+    EXPECT_EQ(r.find(ib), b);
+    EXPECT_EQ(r.find(ia), a);
+    r.close(ib); // a is the memo, b goes
+    EXPECT_EQ(r.find(ib), nullptr);
+    EXPECT_EQ(cr.find(ia), a);
+    EXPECT_EQ(&r.get(ia), a);
+    EXPECT_EQ(r.find(999), nullptr);
+    EXPECT_EQ(r.find(ia), a);
+}
+
 TEST(Registry, CloseThenReopenPreservesDataAndId)
 {
     PoolRegistry r;
