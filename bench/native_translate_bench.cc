@@ -272,6 +272,34 @@ BM_PoolCrash(benchmark::State &state)
 }
 BENCHMARK(BM_PoolCrash)->Arg(1)->Arg(64)->Unit(benchmark::kMicrosecond);
 
+void
+BM_PoolSnapshotRestore(benchmark::State &state)
+{
+    // What an in-recovery crash trial pays to start from its outer
+    // point's crashed image: snapshot the crashed pool, store to it,
+    // restore. Eight lines spread over the pool are written, so both
+    // follow the bytes written, not the pool size. Arg is the pool
+    // size in MB.
+    const uint64_t size = static_cast<uint64_t>(state.range(0)) << 20;
+    PoolRegistry r;
+    Pool &pool = r.create("p", size).pool;
+    const uint32_t stride = static_cast<uint32_t>(size / 8);
+    for (uint32_t i = 0; i < 8; ++i)
+        pool.writeAs<uint64_t>(Pool::kHeaderSize + i * stride, i + 1);
+    pool.persist(Pool::kHeaderSize, sizeof(uint64_t));
+    r.crashAll();
+    for (auto _ : state) {
+        const PoolRegistry::Snapshot snap = r.snapshot();
+        pool.writeAs<uint64_t>(Pool::kHeaderSize + stride, 9);
+        r.restore(snap);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_PoolSnapshotRestore)
+    ->Arg(1)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+
 /**
  * 64K seeded virtual addresses shaped like a simulated workload's:
  * runs within a page, a hot set of @p hot_pages, and cold pages.

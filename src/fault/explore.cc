@@ -27,7 +27,7 @@ struct TrialStats
     uint64_t undo_entries_rolled_back = 0;
     uint64_t frees_redone = 0;
     uint64_t blocks_leaked = 0;
-    uint64_t recovery_events = 0; ///< M_k (outer trials only)
+    uint64_t workload_runs = 0;
     uint64_t trials = 0;
     uint64_t recovery_trials = 0;
     uint64_t reorder_states = 0;
@@ -53,39 +53,142 @@ innerSeed(const ExploreOptions &opts, uint64_t k,
 }
 
 /**
- * One complete crash trial: run the workload and freeze the durable
- * image at event k — either the plain prefix freeze or, when @p drain
- * is non-null, a CrashWithDrain over the batch starting at k (subset /
- * torn-line reorder state). Then crash, recover, crash the recovery
- * stack level by level per @p stack, recover fully, and check every
- * invariant — including that recovering a second time changes nothing.
+ * The crashed state of one outer crash point: the first part of every
+ * trial at k. A fresh runtime and driver run setup and every step with
+ * the durable image frozen at event k (the plain prefix freeze or, when
+ * @p drain is non-null, a CrashWithDrain over the batch starting at k),
+ * then power fails and the crashed image is inspected. Every trial in
+ * k's recovery subtree starts from this state: the first from the run
+ * itself, the rest from `snap`.
+ */
+struct CrashedPrefix
+{
+    CrashedPrefix(const ExploreOptions &o, uint64_t k_,
+                  const std::vector<uint8_t> *drain_)
+        : opts(o), k(k_), drain(drain_),
+          rt(detail::trialRuntimeOptions(o))
+    {
+    }
+
+    const ExploreOptions &opts;
+    const uint64_t k;
+    const std::vector<uint8_t> *drain; ///< reorder masks, or nullptr
+    PmemRuntime rt;
+    std::unique_ptr<workloads::CrashDriver> driver;
+    StepWindow w;
+    /** Counts the crash and its inspection add to each trial. */
+    uint64_t crashes_injected = 0;
+    uint64_t undo_entries_rolled_back = 0;
+    uint64_t frees_redone = 0;
+    /** Non-empty: the crashed image failed inspection (the failure). */
+    std::string why;
+    /** The crashed images, for trials after the first. */
+    PoolRegistry::Snapshot snap;
+};
+
+/**
+ * Run @p p's workload once and crash it (see CrashedPrefix), checking
+ * the event contract on the run.
  *
- * @param expected_events Profile-pass event total; every trial must
- *        observe exactly this many durability events (see
+ * Recovery's own first step is the scrub pass (see recoverAll), so the
+ * legality walk inspects the image recovery will actually see: a
+ * torn-line drain state legitimately leaves a checksummed header line
+ * invalid, and the mirror-copy repair is exactly the mechanism that
+ * makes such a state recoverable. A crash state the scrub cannot make
+ * structurally legal IS the invariant violation.
+ *
+ * @param expected_events Profile-pass event total; every workload run
+ *        must observe exactly this many durability events (see
  *        checkEventContract) or the whole exploration aborts. Pass
  *        kNoExpectedEvents on the replay path, which has no profile.
+ */
+void
+crashAt(CrashedPrefix &p, uint64_t expected_events)
+{
+    const ExploreOptions &opts = p.opts;
+    PoolRegistry &reg = p.rt.registry();
+    if (opts.strict)
+        reg.setDurabilityPolicy(DurabilityPolicy::Strict);
+    p.driver = workloads::makeCrashDriver(opts.workload, opts.steps,
+                                          opts.seed, opts.threads,
+                                          opts.sched_seed);
+    p.driver->setup(p.rt);
+
+    CrashAtEvent prefix_hook(p.k);
+    CrashWithDrain drain_hook(p.k, p.drain != nullptr
+                                       ? *p.drain
+                                       : std::vector<uint8_t>{});
+    CrashHook &crash_hook =
+        p.drain != nullptr ? static_cast<CrashHook &>(drain_hook)
+                           : static_cast<CrashHook &>(prefix_hook);
+    reg.setDurabilityHook(&crash_hook);
+    p.w = runSteps(p.rt, *p.driver, opts, crash_hook);
+    reg.setDurabilityHook(nullptr);
+    checkEventContract(crash_hook.observed(), expected_events);
+    if (crash_hook.fired())
+        ++p.crashes_injected;
+
+    reg.crashAll();
+
+    try {
+        for (uint32_t id : reg.openIds())
+            scrubPool(reg.get(id).pool);
+    } catch (const std::runtime_error &e) {
+        p.why = std::string("scrub of crashed image failed: ") + e.what();
+        return;
+    }
+
+    // Pre-recovery log inspection: the work recovery is about to do.
+    // An illegal on-media log here is itself an invariant violation —
+    // the commit protocol must never publish one at any reachable
+    // crash state, torn lines included.
+    try {
+        for (uint32_t id : reg.openIds()) {
+            OpenPool &op = reg.get(id);
+            // Every slot: a concurrent crash can leave several workers'
+            // logs in flight, and each must be on-media legal.
+            op.forEachLog([&op, &p](UndoLog &log) {
+                log.validateLog();
+                const uint32_t st = log.state();
+                if (st == LogHeader::kActive) {
+                    p.undo_entries_rolled_back += log.records().size();
+                } else if (st == LogHeader::kCommitting) {
+                    for (const UndoLog::Record &r : log.records()) {
+                        if (r.type == LogEntryHeader::kFree &&
+                            op.alloc.isAllocated(r.target_off))
+                            ++p.frees_redone;
+                    }
+                }
+            });
+        }
+    } catch (const std::runtime_error &e) {
+        p.why = std::string("crashed image has an illegal undo log: ") +
+            e.what();
+        return;
+    }
+}
+
+/**
+ * The second part of a trial, from @p p's crashed state: crash the
+ * recovery stack level by level per @p stack, recover fully, and check
+ * every invariant — including that recovering a second time changes
+ * nothing. Counts the trial, with the crash and inspection counts of
+ * its prefix, into @p ts.
+ *
  * @return the number of durability events the final (fully completing)
  *         recovery emitted — the crash-point space one level below
  *         @p stack.
  */
 uint64_t
-runTrial(const ExploreOptions &opts, uint64_t k,
-         const std::vector<uint64_t> &stack,
-         const std::vector<uint8_t> *drain, uint64_t expected_events,
-         TrialStats &ts)
+recoverFrom(CrashedPrefix &p, const std::vector<uint64_t> &stack,
+            TrialStats &ts)
 {
-    PmemRuntime rt(detail::trialRuntimeOptions(opts));
-    if (opts.strict)
-        rt.registry().setDurabilityPolicy(DurabilityPolicy::Strict);
-    std::unique_ptr<workloads::CrashDriver> driver =
-        workloads::makeCrashDriver(opts.workload, opts.steps, opts.seed,
-                                   opts.threads, opts.sched_seed);
-    driver->setup(rt);
-
-    if (drain != nullptr) {
+    const ExploreOptions &opts = p.opts;
+    PoolRegistry &reg = p.rt.registry();
+    if (p.drain != nullptr) {
         ++ts.reorder_states;
         const bool torn =
-            std::any_of(drain->begin(), drain->end(), [](uint8_t m) {
+            std::any_of(p.drain->begin(), p.drain->end(), [](uint8_t m) {
                 return m != 0 && m != DurabilityHook::kFullLineMask;
             });
         if (torn)
@@ -96,83 +199,30 @@ runTrial(const ExploreOptions &opts, uint64_t k,
         ++ts.recovery_trials;
     }
     ts.max_depth = std::max<uint64_t>(ts.max_depth, stack.size());
+    ts.crashes_injected += p.crashes_injected;
+    ts.undo_entries_rolled_back += p.undo_entries_rolled_back;
+    ts.frees_redone += p.frees_redone;
 
     auto fail = [&](const std::string &why) {
         Failure f;
         f.workload = opts.workload;
         f.steps = opts.steps;
         f.seed = opts.seed;
-        f.k = k;
+        f.k = p.k;
         f.stack = stack;
-        if (drain != nullptr)
-            f.drain = encodeDrainMasks(*drain);
+        if (p.drain != nullptr)
+            f.drain = encodeDrainMasks(*p.drain);
         f.strict = opts.strict;
         f.evict_num = opts.evict_num;
         f.evict_den = opts.evict_den;
         f.sched_seed = opts.sched_seed;
         f.threads = opts.threads;
         f.why = why;
-        f.diag = driver->diagnostics();
+        f.diag = p.driver->diagnostics();
         ts.failures.push_back(std::move(f));
     };
-
-    CrashAtEvent prefix_hook(k);
-    CrashWithDrain drain_hook(k, drain != nullptr
-                                     ? *drain
-                                     : std::vector<uint8_t>{});
-    CrashHook &crash_hook =
-        drain != nullptr ? static_cast<CrashHook &>(drain_hook)
-                         : static_cast<CrashHook &>(prefix_hook);
-    rt.registry().setDurabilityHook(&crash_hook);
-    const StepWindow w = runSteps(rt, *driver, opts, crash_hook);
-    rt.registry().setDurabilityHook(nullptr);
-    checkEventContract(crash_hook.observed(), expected_events);
-    if (crash_hook.fired())
-        ++ts.crashes_injected;
-
-    rt.registry().crashAll();
-
-    // Recovery's own first step is the scrub pass (see recoverAll), so
-    // the legality walk below must inspect the image recovery will
-    // actually see: a torn-line drain state legitimately leaves a
-    // checksummed header line invalid, and the mirror-copy repair is
-    // exactly the mechanism that makes such a state recoverable. A
-    // crash state the scrub cannot make structurally legal IS the
-    // invariant violation.
-    try {
-        for (uint32_t id : rt.registry().openIds())
-            scrubPool(rt.registry().get(id).pool);
-    } catch (const std::runtime_error &e) {
-        fail(std::string("scrub of crashed image failed: ") + e.what());
-        return 0;
-    }
-
-    // Pre-recovery log inspection: the work recovery is about to do.
-    // An illegal on-media log here is itself an invariant violation —
-    // the commit protocol must never publish one at any reachable
-    // crash state, torn lines included.
-    try {
-        for (uint32_t id : rt.registry().openIds()) {
-            OpenPool &op = rt.registry().get(id);
-            // Every slot: a concurrent crash can leave several workers'
-            // logs in flight, and each must be on-media legal.
-            op.forEachLog([&op, &ts](UndoLog &log) {
-                log.validateLog();
-                const uint32_t st = log.state();
-                if (st == LogHeader::kActive) {
-                    ts.undo_entries_rolled_back += log.records().size();
-                } else if (st == LogHeader::kCommitting) {
-                    for (const UndoLog::Record &r : log.records()) {
-                        if (r.type == LogEntryHeader::kFree &&
-                            op.alloc.isAllocated(r.target_off))
-                            ++ts.frees_redone;
-                    }
-                }
-            });
-        }
-    } catch (const std::runtime_error &e) {
-        fail(std::string("crashed image has an illegal undo log: ") +
-             e.what());
+    if (!p.why.empty()) {
+        fail(p.why);
         return 0;
     }
 
@@ -180,36 +230,36 @@ runTrial(const ExploreOptions &opts, uint64_t k,
     // that recovery's durable progress and recover from *that* image.
     for (size_t l = 0; l < stack.size(); ++l) {
         CrashAtEvent inner_hook(stack[l]);
-        rt.registry().setDurabilityHook(&inner_hook);
+        reg.setDurabilityHook(&inner_hook);
         try {
-            rt.registry().recoverAll();
+            reg.recoverAll();
         } catch (const std::runtime_error &e) {
-            rt.registry().setDurabilityHook(nullptr);
+            reg.setDurabilityHook(nullptr);
             fail("recovery (level " + std::to_string(l + 1) +
                  ") threw: " + e.what());
             return 0;
         }
-        rt.registry().setDurabilityHook(nullptr);
+        reg.setDurabilityHook(nullptr);
         if (inner_hook.fired())
             ++ts.crashes_injected;
-        rt.registry().crashAll();
+        reg.crashAll();
     }
 
     // The final recovery completes; its event count is the crash-point
     // space for a stack one level deeper.
     EventCounter recovery_counter;
-    rt.registry().setDurabilityHook(&recovery_counter);
+    reg.setDurabilityHook(&recovery_counter);
     try {
-        rt.registry().recoverAll();
+        reg.recoverAll();
     } catch (const std::runtime_error &e) {
-        rt.registry().setDurabilityHook(nullptr);
+        reg.setDurabilityHook(nullptr);
         fail(std::string("final recovery threw: ") + e.what());
         return 0;
     }
-    rt.registry().setDurabilityHook(nullptr);
+    reg.setDurabilityHook(nullptr);
 
     std::string why;
-    if (!checkRecovered(rt, *driver, w, &ts.blocks_leaked, &why)) {
+    if (!checkRecovered(p.rt, *p.driver, p.w, &ts.blocks_leaked, &why)) {
         fail(why);
         return recovery_counter.total();
     }
@@ -217,37 +267,54 @@ runTrial(const ExploreOptions &opts, uint64_t k,
     // Idempotence: a second recovery pass must find nothing to do and
     // leave every invariant intact.
     try {
-        rt.registry().recoverAll();
+        reg.recoverAll();
     } catch (const std::runtime_error &e) {
         fail(std::string("second recovery threw: ") + e.what());
         return recovery_counter.total();
     }
     uint64_t dummy_leaked = 0;
-    if (!checkRecovered(rt, *driver, w, &dummy_leaked, &why))
+    if (!checkRecovered(p.rt, *p.driver, p.w, &dummy_leaked, &why))
         fail("after second recovery: " + why);
     return recovery_counter.total();
 }
 
 /**
+ * One trial with its own workload run: crash at k (or the drain state
+ * @p drain), then recover from it per @p stack. Reorder trials and
+ * reproducer replays take this path; see recoverFrom for the result.
+ */
+uint64_t
+runTrial(const ExploreOptions &opts, uint64_t k,
+         const std::vector<uint64_t> &stack,
+         const std::vector<uint8_t> *drain, uint64_t expected_events,
+         TrialStats &ts)
+{
+    CrashedPrefix p(opts, k, drain);
+    crashAt(p, expected_events);
+    ++ts.workload_runs;
+    return recoverFrom(p, stack, ts);
+}
+
+/**
  * Depth-first expansion of the in-recovery crash stacks below @p stack,
- * whose final recovery emitted @p events durability events. Level d + 1
- * is explored only while d < depth.
+ * whose final recovery emitted @p events durability events. Each trial
+ * restores @p p's crashed images instead of re-running the workload.
+ * Level d + 1 is explored only while d < depth.
  */
 void
-expandRecoveryCrashes(const ExploreOptions &opts, uint64_t k,
-                      const std::vector<uint64_t> &stack, uint64_t events,
-                      uint64_t expected_events, TrialStats &ts)
+expandRecoveryCrashes(CrashedPrefix &p, const std::vector<uint64_t> &stack,
+                      uint64_t events, TrialStats &ts)
 {
-    if (stack.size() >= opts.depth || events == 0)
+    if (stack.size() >= p.opts.depth || events == 0)
         return;
-    const std::vector<uint64_t> js =
-        choosePoints(events, opts.inner_cap, innerSeed(opts, k, stack));
+    const std::vector<uint64_t> js = choosePoints(
+        events, p.opts.inner_cap, innerSeed(p.opts, p.k, stack));
     for (uint64_t j : js) {
         std::vector<uint64_t> next = stack;
         next.push_back(j);
-        const uint64_t m =
-            runTrial(opts, k, next, nullptr, expected_events, ts);
-        expandRecoveryCrashes(opts, k, next, m, expected_events, ts);
+        p.rt.registry().restore(p.snap);
+        const uint64_t m = recoverFrom(p, next, ts);
+        expandRecoveryCrashes(p, next, m, ts);
     }
 }
 
@@ -327,6 +394,7 @@ explore(const ExploreOptions &opts)
         report.clwb_events = counter.count(WriteBackCause::Clwb);
         report.fence_events = counter.count(WriteBackCause::Fence);
         report.evict_events = counter.count(WriteBackCause::Evict);
+        report.workload_runs = 1;
     }
 
     // ---- outer fan-out ----------------------------------------------
@@ -339,13 +407,16 @@ explore(const ExploreOptions &opts)
     std::vector<TrialStats> slots(ks.size());
     driver::runTasks(ks.size(), opts.jobs, [&](size_t idx) {
         TrialStats &ts = slots[idx];
-        const uint64_t k = ks[idx];
-        const uint64_t recovery_events = runTrial(
-            trial_opts, k, {}, nullptr, report.total_events, ts);
-        ts.recovery_events = recovery_events;
-        // In-recovery crash stacks below this k, up to `depth` levels.
-        expandRecoveryCrashes(trial_opts, k, {}, recovery_events,
-                              report.total_events, ts);
+        // One workload run per k: its crashed state serves the outer
+        // trial and every in-recovery crash stack below it, up to
+        // `depth` levels.
+        CrashedPrefix p(trial_opts, ks[idx], nullptr);
+        crashAt(p, report.total_events);
+        ++ts.workload_runs;
+        if (depth > 0 && p.why.empty())
+            p.snap = p.rt.registry().snapshot();
+        const uint64_t recovery_events = recoverFrom(p, {}, ts);
+        expandRecoveryCrashes(p, {}, recovery_events, ts);
     });
 
     // ---- reorder fan-out (drain subsets and torn lines) -------------
@@ -372,6 +443,7 @@ explore(const ExploreOptions &opts)
             rt.registry().setDurabilityHook(nullptr);
         }
         checkEventContract(probe.total(), report.total_events);
+        ++report.workload_runs;
 
         // When crash points are sampled, sample batches the same way.
         const std::vector<DrainBatch> &batches = probe.batches();
@@ -405,6 +477,7 @@ explore(const ExploreOptions &opts)
     }
 
     auto merge = [&report](const TrialStats &ts) {
+        report.workload_runs += ts.workload_runs;
         report.trials += ts.trials;
         report.recovery_trials += ts.recovery_trials;
         report.crashes_injected += ts.crashes_injected;

@@ -27,7 +27,10 @@
  *     [j1, .., jd] crashes the workload at k, the first recovery at j1,
  *     the recovery of THAT crash at j2, and so on, then recovers fully
  *     and re-checks all invariants. depth = 0 disables in-recovery
- *     crashes; the historic one-level behaviour is depth = 1.
+ *     crashes; the historic one-level behaviour is depth = 1. The
+ *     workload runs once per k: its crashed images are saved
+ *     (PoolRegistry::snapshot) and every stack below k restores them
+ *     instead of re-running setup and every step.
  *  4. Reorder states (opt-in, see fault/reorder.h): a probe pass groups
  *     the event stream into drain batches; each batch gets
  *     CrashWithDrain trials persisting proper subsets of the batch
@@ -236,6 +239,14 @@ struct ExploreReport
     uint64_t reorder_states = 0; ///< drain-subset + torn trials run
     uint64_t torn_states = 0;    ///< ... of which tore a line mid-write
     uint64_t max_depth = 0;      ///< deepest recovery-crash stack reached
+    /**
+     * Workload runs (setup plus every step) the exploration executed:
+     * the profile and probe passes, one per outer crash point and one
+     * per reorder trial. In-recovery trials restore their outer point's
+     * crashed images instead, so trials per run is the reuse factor.
+     * Host-side cost accounting; not published.
+     */
+    uint64_t workload_runs = 0;
     std::vector<Failure> failures;
 
     bool ok() const { return failures.empty(); }

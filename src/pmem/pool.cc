@@ -312,20 +312,77 @@ Pool::evictRandomLines(Rng &rng, uint64_t num, uint64_t den)
     dirtyCount_ -= evicted.size();
 }
 
+uint64_t
+Pool::pageBytes(uint32_t page) const
+{
+    return std::min<uint64_t>(kPageSize, data_.size() - page * kPageSize);
+}
+
+void
+Pool::clearPageLines(uint32_t page)
+{
+    constexpr uint64_t kLinesPerPage = kPageSize / kLineSize;
+    const uint64_t line = page * kLinesPerPage;
+    std::fill_n(lineState_.begin() + line,
+                std::min(kLinesPerPage, lineState_.size() - line),
+                uint8_t{0});
+}
+
 void
 Pool::crash()
 {
     // An unwritten page is zero in both images, so only written pages
     // can differ; only they can hold dirty or staged lines.
-    constexpr uint64_t kLinesPerPage = kPageSize / kLineSize;
     for (uint32_t page : writtenPages_) {
         const uint64_t off = page * kPageSize;
-        const uint64_t n = std::min<uint64_t>(kPageSize, data_.size() - off);
-        std::memcpy(data_.data() + off, durable_.data() + off, n);
-        const uint64_t line = page * kLinesPerPage;
-        std::fill_n(lineState_.begin() + line,
-                    std::min(kLinesPerPage, lineState_.size() - line),
-                    uint8_t{0});
+        std::memcpy(data_.data() + off, durable_.data() + off,
+                    pageBytes(page));
+        clearPageLines(page);
+    }
+    dirtyCount_ = 0;
+    staged_.clear();
+    refreshHeader();
+}
+
+PoolSnapshot
+Pool::snapshot() const
+{
+    POAT_ASSERT(dirtyCount_ == 0 && staged_.empty(),
+                "snapshot of a pool with lines in flight");
+    // Flags are never cleared and new ones are appended, so the pages
+    // saved here stay the first `pages` entries of writtenPages_.
+    PoolSnapshot snap;
+    snap.pages = writtenPages_.size();
+    snap.bytes.reserve(snap.pages * kPageSize);
+    for (size_t i = 0; i < snap.pages; ++i) {
+        const uint8_t *src = durable_.data() + writtenPages_[i] * kPageSize;
+        snap.bytes.insert(snap.bytes.end(), src,
+                          src + pageBytes(writtenPages_[i]));
+        snap.bytes.resize((i + 1) * kPageSize);
+    }
+    return snap;
+}
+
+void
+Pool::restore(const PoolSnapshot &snap)
+{
+    POAT_ASSERT(snap.pages <= writtenPages_.size() &&
+                    snap.bytes.size() == snap.pages * kPageSize,
+                "snapshot does not belong to this pool");
+    for (size_t i = 0; i < writtenPages_.size(); ++i) {
+        const uint32_t page = writtenPages_[i];
+        const uint64_t off = page * kPageSize;
+        const uint64_t n = pageBytes(page);
+        if (i < snap.pages) {
+            const uint8_t *src = snap.bytes.data() + i * kPageSize;
+            std::memcpy(durable_.data() + off, src, n);
+            std::memcpy(data_.data() + off, src, n);
+        } else {
+            // Written after the snapshot: zero in both images then.
+            std::memset(durable_.data() + off, 0, n);
+            std::memset(data_.data() + off, 0, n);
+        }
+        clearPageLines(page);
     }
     dirtyCount_ = 0;
     staged_.clear();

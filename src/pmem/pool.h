@@ -21,7 +21,9 @@
  * flag per 4 KB page that was ever written (in either image) and a
  * state byte per 64-byte line. A crash copies back only the written
  * pages, and the allocator's free-extent sweep skips unwritten ones,
- * so a crash trial costs the bytes it wrote, not the pool size.
+ * so a crash trial costs the bytes it wrote, not the pool size. A
+ * snapshot of a crashed pool, which lets several trials recover from
+ * one crash, holds those pages only.
  */
 #ifndef POAT_PMEM_POOL_H
 #define POAT_PMEM_POOL_H
@@ -207,6 +209,19 @@ using PoolImage = std::vector<uint8_t, ZeroedAllocator<uint8_t>>;
 class Pool;
 
 /**
+ * The durable bytes of a crashed pool's written pages (Pool::snapshot),
+ * enough for Pool::restore to put the pool back in that crashed state.
+ * Never-written pages are zero in both images and are not stored.
+ */
+struct PoolSnapshot
+{
+    /** How many of the pool's flagged pages, in flag order, it holds. */
+    size_t pages = 0;
+    /** kPageSize bytes per page (a short last page leaves a gap). */
+    std::vector<uint8_t> bytes;
+};
+
+/**
  * Fault-injection hook on the durability path.
  *
  * Every 64-byte line write-back into the durable image — the only way
@@ -376,6 +391,21 @@ class Pool
      */
     void crash();
 
+    /**
+     * Save the crashed state, right after crash(): the durable bytes of
+     * every written page. Requires no dirty or staged line, so the
+     * working image equals the durable one.
+     */
+    PoolSnapshot snapshot() const;
+
+    /**
+     * Put the pool back in the state @p snap saved: both images of a
+     * page it holds get its bytes, pages written since then become zero
+     * again, and no line is dirty or staged. Costs the bytes written,
+     * not the pool size.
+     */
+    void restore(const PoolSnapshot &snap);
+
     /** Copy of the durable image (for offline recovery testing). */
     PoolImage durableImage() const { return durable_; }
 
@@ -484,6 +514,10 @@ class Pool
 
     void writeBackLine(uint32_t line, WriteBackCause cause);
     void markWritten(uint64_t off, uint64_t n);
+    /** Bytes of page @p page inside the pool (short for a last page). */
+    uint64_t pageBytes(uint32_t page) const;
+    /** Clear the dirty and staged state of every line of @p page. */
+    void clearPageLines(uint32_t page);
     /** Size the page and line bookkeeping for data_ (all clear). */
     void initBookkeeping();
 

@@ -185,6 +185,28 @@ PoolRegistry::crashAll()
     }
 }
 
+PoolRegistry::Snapshot
+PoolRegistry::snapshot() const
+{
+    Snapshot snap;
+    for (uint32_t id : openIds())
+        snap.pools.emplace_back(id, open_.at(id)->pool.snapshot());
+    return snap;
+}
+
+void
+PoolRegistry::restore(const Snapshot &snap)
+{
+    POAT_ASSERT(snap.pools.size() == open_.size(),
+                "restore: the open pools changed since the snapshot");
+    for (const auto &[id, pool_snap] : snap.pools) {
+        OpenPool *op = find(id);
+        POAT_ASSERT(op != nullptr, "restore: snapshot pool is not open");
+        op->pool.restore(pool_snap);
+        op->forEachLog([](UndoLog &log) { log.markCrashed(); });
+    }
+}
+
 void
 PoolRegistry::recoverAll()
 {

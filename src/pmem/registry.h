@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "pmem/addrspace.h"
@@ -176,6 +177,29 @@ class PoolRegistry
 
     /** Simulate a machine-wide power failure across all open pools. */
     void crashAll();
+
+    /** The crashed state of every open pool (see snapshot()). */
+    struct Snapshot
+    {
+        /** (pool id, its snapshot), ascending id. */
+        std::vector<std::pair<uint32_t, PoolSnapshot>> pools;
+    };
+
+    /**
+     * Save the crashed state of every open pool, after crashAll (and
+     * anything that persists all it writes, such as a scrub). Keeps only
+     * the durable bytes of each pool's written pages.
+     */
+    Snapshot snapshot() const;
+
+    /**
+     * Return every open pool to @p snap (see Pool::restore) and reset
+     * each undo-log slot's volatile state as crashAll does, so recovery
+     * can run again from the same crashed images. The set of open pools
+     * must not have changed since the snapshot; allocator state is
+     * rebuilt by the next recoverAll.
+     */
+    void restore(const Snapshot &snap);
 
     /**
      * Run recovery on every open pool (after crashAll): scrub the

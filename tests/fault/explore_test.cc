@@ -371,5 +371,60 @@ TEST(Explore, ConcurrentExplorationIsJobCountInvariant)
     EXPECT_TRUE(serial.ok()) << firstFailure(serial);
 }
 
+/** Every counter of @p r, in ExploreReport's field order. */
+std::vector<uint64_t>
+counters(const ExploreReport &r)
+{
+    return {r.total_events,     r.clwb_events,
+            r.fence_events,     r.evict_events,
+            r.trials,           r.recovery_trials,
+            r.crashes_injected, r.undo_entries_rolled_back,
+            r.frees_redone,     r.blocks_leaked,
+            r.reorder_states,   r.torn_states,
+            r.max_depth};
+}
+
+TEST(Explore, SharedPrefixKeepsReport)
+{
+    // Reports of explorations that re-ran the workload for every trial.
+    // In-recovery trials now restore their outer point's crashed images
+    // instead, which must not move a single counter at any job count.
+    // The first two rows are the crash_btree benchmark's batch shape;
+    // the third recurses three levels deep over every crash point.
+    struct Case
+    {
+        const char *workload;
+        uint64_t steps, seed, sample, depth, inner_cap;
+        std::vector<uint64_t> want;
+    };
+    const Case cases[] = {
+        {"B+T", 50, 42, 8, 2, 4,
+         {941, 941, 0, 0, 8, 90, 256, 198, 0, 0, 0, 0, 2}},
+        {"LL", 50, 42, 8, 2, 4,
+         {925, 925, 0, 0, 8, 35, 101, 33, 0, 0, 0, 0, 2}},
+        {"RBT", 8, 1, 0, 3, 0,
+         {173, 173, 0, 0, 173, 26196, 99824, 89836, 60, 0, 0, 0, 3}},
+    };
+    for (const Case &c : cases) {
+        for (unsigned jobs : {1u, 4u}) {
+            ExploreOptions o;
+            o.workload = c.workload;
+            o.steps = c.steps;
+            o.seed = c.seed;
+            o.sample = c.sample;
+            o.depth = c.depth;
+            o.inner_cap = c.inner_cap;
+            o.jobs = jobs;
+            const ExploreReport rep = fault::explore(o);
+            EXPECT_EQ(counters(rep), c.want)
+                << c.workload << " jobs=" << jobs;
+            EXPECT_TRUE(rep.ok()) << firstFailure(rep);
+            // The profile pass plus one run per outer crash point.
+            EXPECT_EQ(rep.workload_runs, rep.trials + 1)
+                << c.workload << " jobs=" << jobs;
+        }
+    }
+}
+
 } // namespace
 } // namespace poat

@@ -1,6 +1,9 @@
 /** @file Unit tests for the pool registry (create/open/close cycle). */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "pmem/registry.h"
 
 namespace poat {
@@ -241,6 +244,99 @@ TEST(Registry, ReopenSweepsStaleHeadersOutOfFreeExtents)
     EXPECT_EQ(swept.size, 0u);
     EXPECT_EQ(b.alloc.freeBlockCount(), 1u);
     EXPECT_TRUE(b.alloc.validate());
+}
+
+TEST(PoolRegistry, SnapshotRestoreIsExact)
+{
+    // A snapshot taken after crashAll must give back the crashed pools
+    // byte for byte, whatever a trial did to them since: recovery,
+    // stores on pages written before and after the snapshot, CLWB and
+    // fences, media faults, evictions and a transaction left open.
+    for (DurabilityPolicy policy :
+         {DurabilityPolicy::Eager, DurabilityPolicy::Strict}) {
+        PoolRegistry r;
+        r.setDurabilityPolicy(policy);
+        OpenPool &a = r.create("a", 1 << 20);
+        OpenPool &b = r.create("b", 1 << 20, Pool::kDefaultLogSize, 2);
+        const uint32_t off = a.alloc.alloc(64);
+        a.pool.writeAs<uint64_t>(off, 1);
+        a.pool.persist(off, 8);
+        // Crash with a transaction in flight, so recovery has undo
+        // work, and with a store that never reached media.
+        a.log.begin();
+        a.log.addRange(off, 8);
+        a.pool.writeAs<uint64_t>(off, 2);
+        a.pool.persist(off, 8);
+        b.pool.writeAs<uint64_t>(b.pool.header().heap_off + 64, 3);
+        r.crashAll();
+
+        // Both images of every open pool, in full.
+        auto images = [&r] {
+            std::vector<std::vector<uint8_t>> out;
+            for (uint32_t id : r.openIds()) {
+                const Pool &p = r.get(id).pool;
+                out.emplace_back(p.durableView().begin(),
+                                 p.durableView().end());
+                std::vector<uint8_t> working(p.size());
+                p.readRaw(0, working.data(), working.size());
+                out.push_back(std::move(working));
+            }
+            return out;
+        };
+        const PoolRegistry::Snapshot snap = r.snapshot();
+        const std::vector<std::vector<uint8_t>> want = images();
+        const PoolHeader header = a.pool.header();
+        ASSERT_EQ(a.log.state(), LogHeader::kActive);
+
+        Rng rng(7);
+        const uint32_t fresh = 600 * 1024; // a page nothing wrote yet
+        ASSERT_FALSE(a.pool.anyPageWritten(fresh, 4 * kPageSize));
+        ASSERT_FALSE(b.pool.anyPageWritten(fresh, 4 * kPageSize));
+        for (int round = 0; round < 2; ++round) {
+            r.recoverAll();
+            EXPECT_EQ(a.pool.readAs<uint64_t>(off), 1u);
+            a.pool.writeAs<uint64_t>(off, 9);
+            a.pool.clwb(off);
+            a.pool.fence();
+            a.pool.writeAs<uint64_t>(fresh, 5);
+            a.pool.clwb(fresh); // staged under Strict, durable under Eager
+            b.pool.writeAs<uint64_t>(fresh + kPageSize, 6);
+            b.pool.writeAs<uint64_t>(off, 7);
+            b.pool.evictRandomLines(rng, 1, 1);
+            const uint64_t junk = ~0ull;
+            b.pool.corruptDurable(fresh + 2 * kPageSize, &junk, 8);
+            a.pool.corruptDurable(off + 64, &junk, 8);
+            a.log.begin();
+            b.logSlot(1).begin();
+            a.pool.writeAs<uint64_t>(fresh + 3 * kPageSize, 8); // dirty
+
+            r.restore(snap);
+            EXPECT_EQ(images(), want) << "round " << round;
+            for (uint32_t id : r.openIds()) {
+                OpenPool &op = r.get(id);
+                EXPECT_EQ(op.pool.dirtyLineCount(), 0u);
+                EXPECT_TRUE(op.pool.stagedLines().empty());
+                op.forEachLog([](UndoLog &log) {
+                    EXPECT_FALSE(log.active());
+                    EXPECT_FALSE(log.committing());
+                });
+            }
+            EXPECT_EQ(std::memcmp(&a.pool.header(), &header,
+                                  sizeof(header)),
+                      0);
+            EXPECT_EQ(a.log.state(), LogHeader::kActive);
+            // Lines dirty or staged before the restore are clean now:
+            // flushing them writes nothing back.
+            EventLog flushed;
+            r.setDurabilityHook(&flushed);
+            for (uint64_t at : {uint64_t{off} + 8, uint64_t{fresh},
+                                fresh + 3 * kPageSize})
+                a.pool.clwb(static_cast<uint32_t>(at));
+            a.pool.fence();
+            r.setDurabilityHook(nullptr);
+            EXPECT_TRUE(flushed.events.empty()) << flushed.events[0];
+        }
+    }
 }
 
 TEST(RegistryDeath, OpenThatRecoveryRejectsConsumesTheImage)

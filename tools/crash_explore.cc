@@ -292,17 +292,23 @@ toMediaOptions(const Args &a, const std::string &workload)
 
 /**
  * Host wall time since @p t0 and trial throughput, on stderr: not part
- * of the deterministic output.
+ * of the deterministic output. @p workload_runs, when nonzero, is how
+ * many times the workload ran to serve those trials.
  */
 void
-printHost(std::chrono::steady_clock::time_point t0, uint64_t trials)
+printHost(std::chrono::steady_clock::time_point t0, uint64_t trials,
+          uint64_t workload_runs = 0)
 {
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
     std::fflush(stdout);
-    std::fprintf(stderr, "      host: %.2f s, %.0f trials/s\n", wall_s,
+    std::fprintf(stderr, "      host: %.2f s, %.0f trials/s", wall_s,
                  wall_s > 0 ? static_cast<double>(trials) / wall_s : 0.0);
+    if (workload_runs != 0)
+        std::fprintf(stderr, ", %llu workload runs",
+                     static_cast<unsigned long long>(workload_runs));
+    std::fprintf(stderr, "\n");
 }
 
 /** Media-fault explore one workload; returns the number of failures. */
@@ -392,7 +398,8 @@ exploreOne(const Args &a, const std::string &workload,
             std::printf("           diag: %s\n", f.diag.c_str());
     }
     std::printf("      %s\n", rep.ok() ? "PASS" : "FAIL");
-    printHost(t0, rep.trials + rep.recovery_trials + rep.reorder_states);
+    printHost(t0, rep.trials + rep.recovery_trials + rep.reorder_states,
+              rep.workload_runs);
     return rep.failures.size();
 }
 
