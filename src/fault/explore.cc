@@ -11,12 +11,9 @@
 namespace poat {
 namespace fault {
 
-using detail::checkEventContract;
 using detail::checkRecovered;
 using detail::choosePoints;
 using detail::kNoExpectedEvents;
-using detail::runSteps;
-using detail::StepWindow;
 
 namespace {
 
@@ -54,28 +51,23 @@ innerSeed(const ExploreOptions &opts, uint64_t k,
 
 /**
  * The crashed state of one outer crash point: the first part of every
- * trial at k. A fresh runtime and driver run setup and every step with
- * the durable image frozen at event k (the plain prefix freeze or, when
- * @p drain is non-null, a CrashWithDrain over the batch starting at k),
- * then power fails and the crashed image is inspected. Every trial in
- * k's recovery subtree starts from this state: the first from the run
- * itself, the rest from `snap`.
+ * trial at k. The workload runs with the durable image frozen at event
+ * k (the plain prefix freeze or, when @p drain is non-null, a
+ * CrashWithDrain over the batch starting at k), then power fails and
+ * the crashed image is inspected. Every trial in k's recovery subtree
+ * starts from this state: the first from the run itself, the rest from
+ * `snap`.
  */
-struct CrashedPrefix
+struct CrashedPrefix : detail::WorkloadRun
 {
     CrashedPrefix(const ExploreOptions &o, uint64_t k_,
                   const std::vector<uint8_t> *drain_)
-        : opts(o), k(k_), drain(drain_),
-          rt(detail::trialRuntimeOptions(o))
+        : WorkloadRun(o), k(k_), drain(drain_)
     {
     }
 
-    const ExploreOptions &opts;
     const uint64_t k;
     const std::vector<uint8_t> *drain; ///< reorder masks, or nullptr
-    PmemRuntime rt;
-    std::unique_ptr<workloads::CrashDriver> driver;
-    StepWindow w;
     /** Counts the crash and its inspection add to each trial. */
     uint64_t crashes_injected = 0;
     uint64_t undo_entries_rolled_back = 0;
@@ -87,8 +79,7 @@ struct CrashedPrefix
 };
 
 /**
- * Run @p p's workload once and crash it (see CrashedPrefix), checking
- * the event contract on the run.
+ * Run @p p's workload once and crash it (see CrashedPrefix).
  *
  * Recovery's own first step is the scrub pass (see recoverAll), so the
  * legality walk inspects the image recovery will actually see: a
@@ -97,37 +88,23 @@ struct CrashedPrefix
  * makes such a state recoverable. A crash state the scrub cannot make
  * structurally legal IS the invariant violation.
  *
- * @param expected_events Profile-pass event total; every workload run
- *        must observe exactly this many durability events (see
- *        checkEventContract) or the whole exploration aborts. Pass
- *        kNoExpectedEvents on the replay path, which has no profile.
+ * @param expected_events see WorkloadRun::run.
  */
 void
 crashAt(CrashedPrefix &p, uint64_t expected_events)
 {
-    const ExploreOptions &opts = p.opts;
-    PoolRegistry &reg = p.rt.registry();
-    if (opts.strict)
-        reg.setDurabilityPolicy(DurabilityPolicy::Strict);
-    p.driver = workloads::makeCrashDriver(opts.workload, opts.steps,
-                                          opts.seed, opts.threads,
-                                          opts.sched_seed);
-    p.driver->setup(p.rt);
-
     CrashAtEvent prefix_hook(p.k);
     CrashWithDrain drain_hook(p.k, p.drain != nullptr
                                        ? *p.drain
                                        : std::vector<uint8_t>{});
-    CrashHook &crash_hook =
-        p.drain != nullptr ? static_cast<CrashHook &>(drain_hook)
-                           : static_cast<CrashHook &>(prefix_hook);
-    reg.setDurabilityHook(&crash_hook);
-    p.w = runSteps(p.rt, *p.driver, opts, crash_hook);
-    reg.setDurabilityHook(nullptr);
-    checkEventContract(crash_hook.observed(), expected_events);
+    TrialHook &crash_hook =
+        p.drain != nullptr ? static_cast<TrialHook &>(drain_hook)
+                           : static_cast<TrialHook &>(prefix_hook);
+    p.run(crash_hook, expected_events);
     if (crash_hook.fired())
         ++p.crashes_injected;
 
+    PoolRegistry &reg = p.rt.registry();
     reg.crashAll();
 
     try {
@@ -183,7 +160,6 @@ uint64_t
 recoverFrom(CrashedPrefix &p, const std::vector<uint64_t> &stack,
             TrialStats &ts)
 {
-    const ExploreOptions &opts = p.opts;
     PoolRegistry &reg = p.rt.registry();
     if (p.drain != nullptr) {
         ++ts.reorder_states;
@@ -204,20 +180,10 @@ recoverFrom(CrashedPrefix &p, const std::vector<uint64_t> &stack,
     ts.frees_redone += p.frees_redone;
 
     auto fail = [&](const std::string &why) {
-        Failure f;
-        f.workload = opts.workload;
-        f.steps = opts.steps;
-        f.seed = opts.seed;
-        f.k = p.k;
+        Failure f = detail::trialFailure(p.opts, p.k, why);
         f.stack = stack;
         if (p.drain != nullptr)
             f.drain = encodeDrainMasks(*p.drain);
-        f.strict = opts.strict;
-        f.evict_num = opts.evict_num;
-        f.evict_den = opts.evict_den;
-        f.sched_seed = opts.sched_seed;
-        f.threads = opts.threads;
-        f.why = why;
         f.diag = p.driver->diagnostics();
         ts.failures.push_back(std::move(f));
     };
@@ -261,7 +227,7 @@ recoverFrom(CrashedPrefix &p, const std::vector<uint64_t> &stack,
     std::string why;
     if (!checkRecovered(p.rt, *p.driver, p.w, &ts.blocks_leaked, &why)) {
         fail(why);
-        return recovery_counter.total();
+        return recovery_counter.observed();
     }
 
     // Idempotence: a second recovery pass must find nothing to do and
@@ -270,12 +236,12 @@ recoverFrom(CrashedPrefix &p, const std::vector<uint64_t> &stack,
         reg.recoverAll();
     } catch (const std::runtime_error &e) {
         fail(std::string("second recovery threw: ") + e.what());
-        return recovery_counter.total();
+        return recovery_counter.observed();
     }
     uint64_t dummy_leaked = 0;
     if (!checkRecovered(p.rt, *p.driver, p.w, &dummy_leaked, &why))
         fail("after second recovery: " + why);
-    return recovery_counter.total();
+    return recovery_counter.observed();
 }
 
 /**
@@ -373,29 +339,23 @@ explore(const ExploreOptions &opts)
     ExploreReport report;
 
     // ---- profile pass: count the durability events ------------------
-    {
-        PmemRuntime rt(detail::trialRuntimeOptions(opts));
-        if (opts.strict)
-            rt.registry().setDurabilityPolicy(DurabilityPolicy::Strict);
-        std::unique_ptr<workloads::CrashDriver> driver =
-            workloads::makeCrashDriver(opts.workload, opts.steps,
-                                       opts.seed, opts.threads,
-                                       opts.sched_seed);
-        driver->setup(rt);
-        EventCounter counter;
-        rt.registry().setDurabilityHook(&counter);
-        Rng evict_rng(detail::evictSeed(opts));
-        for (uint64_t i = 0; i < opts.steps; ++i) {
-            driver->step(rt, i);
-            detail::maybeEvict(rt, evict_rng, opts);
-        }
-        rt.registry().setDurabilityHook(nullptr);
-        report.total_events = counter.total();
-        report.clwb_events = counter.count(WriteBackCause::Clwb);
-        report.fence_events = counter.count(WriteBackCause::Fence);
-        report.evict_events = counter.count(WriteBackCause::Evict);
-        report.workload_runs = 1;
-    }
+    // Under --reorder the same pass groups them into drain batches, and
+    // the per-cause counts come from the batches.
+    EventCounter counter;
+    DrainProbe probe;
+    TrialHook &profile = opts.reorder ? static_cast<TrialHook &>(probe)
+                                      : static_cast<TrialHook &>(counter);
+    detail::WorkloadRun(opts).run(profile, kNoExpectedEvents);
+    report.workload_runs = 1;
+    report.total_events = profile.observed();
+    report.clwb_events = counter.count(WriteBackCause::Clwb);
+    report.fence_events = counter.count(WriteBackCause::Fence);
+    report.evict_events = counter.count(WriteBackCause::Evict);
+    uint64_t *const by_cause[] = {&report.clwb_events,
+                                  &report.fence_events,
+                                  &report.evict_events};
+    for (const DrainBatch &b : probe.batches())
+        *by_cause[static_cast<size_t>(b.cause)] += b.size();
 
     // ---- outer fan-out ----------------------------------------------
     const uint64_t depth = opts.in_recovery ? opts.depth : 0;
@@ -422,29 +382,6 @@ explore(const ExploreOptions &opts)
     // ---- reorder fan-out (drain subsets and torn lines) -------------
     std::vector<TrialStats> rslots;
     if (opts.reorder) {
-        // Probe pass: group the identical event stream into batches.
-        DrainProbe probe;
-        {
-            PmemRuntime rt(detail::trialRuntimeOptions(opts));
-            if (opts.strict)
-                rt.registry().setDurabilityPolicy(
-                    DurabilityPolicy::Strict);
-            std::unique_ptr<workloads::CrashDriver> driver =
-                workloads::makeCrashDriver(opts.workload, opts.steps,
-                                           opts.seed, opts.threads,
-                                           opts.sched_seed);
-            driver->setup(rt);
-            rt.registry().setDurabilityHook(&probe);
-            Rng evict_rng(detail::evictSeed(opts));
-            for (uint64_t i = 0; i < opts.steps; ++i) {
-                driver->step(rt, i);
-                detail::maybeEvict(rt, evict_rng, opts);
-            }
-            rt.registry().setDurabilityHook(nullptr);
-        }
-        checkEventContract(probe.total(), report.total_events);
-        ++report.workload_runs;
-
         // When crash points are sampled, sample batches the same way.
         const std::vector<DrainBatch> &batches = probe.batches();
         const std::vector<uint64_t> bidx = choosePoints(

@@ -8,7 +8,9 @@
  *  1. Profile pass: run the workload once with an EventCounter hook and
  *     count its durability events (64-byte line write-backs) — the
  *     complete set of instants at which a power failure could leave a
- *     distinct durable image.
+ *     distinct durable image. With reorder states on, the hook is a
+ *     DrainProbe instead, which also groups the events into the drain
+ *     batches of step 4; the workload runs once before any trial.
  *  2. Exploration: for each chosen event index k, re-run the workload
  *     with a CrashAtEvent(k) hook (freeze semantics, see injector.h),
  *     simulate the power failure, recover, and check every invariant:
@@ -31,13 +33,13 @@
  *     workload runs once per k: its crashed images are saved
  *     (PoolRegistry::snapshot) and every stack below k restores them
  *     instead of re-running setup and every step.
- *  4. Reorder states (opt-in, see fault/reorder.h): a probe pass groups
- *     the event stream into drain batches; each batch gets
- *     CrashWithDrain trials persisting proper subsets of the batch
- *     (exhaustive up to `drain_bound`, seeded-sampled beyond) plus
- *     torn-line states that persist only a prefix/suffix of one line's
- *     8-byte words. Under --strict the workload runs with the Strict
- *     durability policy so fences produce multi-line batches.
+ *  4. Reorder states (opt-in, see fault/reorder.h): each drain batch of
+ *     the profile pass gets CrashWithDrain trials persisting proper
+ *     subsets of the batch (exhaustive up to `drain_bound`,
+ *     seeded-sampled beyond) plus torn-line states that persist only a
+ *     prefix/suffix of one line's 8-byte words. Under --strict the
+ *     workload runs with the Strict durability policy so fences
+ *     produce multi-line batches.
  *
  * Small runs explore exhaustively; large runs sample crash points with
  * a seeded generator. Every failure carries a self-contained reproducer
@@ -241,8 +243,8 @@ struct ExploreReport
     uint64_t max_depth = 0;      ///< deepest recovery-crash stack reached
     /**
      * Workload runs (setup plus every step) the exploration executed:
-     * the profile and probe passes, one per outer crash point and one
-     * per reorder trial. In-recovery trials restore their outer point's
+     * the profile pass, one per outer crash point and one per reorder
+     * trial. In-recovery trials restore their outer point's
      * crashed images instead, so trials per run is the reuse factor.
      * Host-side cost accounting; not published.
      */

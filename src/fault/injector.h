@@ -39,44 +39,13 @@
 namespace poat {
 namespace fault {
 
-/** Counts durability events (write-backs) without interfering. */
-class EventCounter final : public DurabilityHook
-{
-  public:
-    bool
-    onWriteBack(Pool &, uint32_t, WriteBackCause cause) override
-    {
-        ++total_;
-        ++byCause_[static_cast<size_t>(cause)];
-        return true;
-    }
-
-    uint64_t total() const { return total_; }
-
-    uint64_t
-    count(WriteBackCause cause) const
-    {
-        return byCause_[static_cast<size_t>(cause)];
-    }
-
-    void
-    reset()
-    {
-        total_ = 0;
-        byCause_ = {};
-    }
-
-  private:
-    uint64_t total_ = 0;
-    std::array<uint64_t, 3> byCause_{}; ///< indexed by WriteBackCause
-};
-
 /**
- * Common base of the crash-injection hooks: whether a crash was
- * actually injected (fired) and how many durability events the run
- * emitted in total (observed — suppressed events included).
+ * Common base of every hook a workload run installs (see
+ * detail::WorkloadRun): how many durability events the run emitted in
+ * total (observed — suppressed events included) and whether a crash was
+ * actually injected (fired; never, for the counting hooks).
  */
-class CrashHook : public DurabilityHook
+class TrialHook : public DurabilityHook
 {
   public:
     /** True once at least one write-back was suppressed or torn. */
@@ -90,13 +59,35 @@ class CrashHook : public DurabilityHook
     bool fired_ = false;
 };
 
+/** Counts durability events (write-backs) without interfering. */
+class EventCounter final : public TrialHook
+{
+  public:
+    bool
+    onWriteBack(Pool &, uint32_t, WriteBackCause cause) override
+    {
+        ++observed_;
+        ++byCause_[static_cast<size_t>(cause)];
+        return true;
+    }
+
+    uint64_t
+    count(WriteBackCause cause) const
+    {
+        return byCause_[static_cast<size_t>(cause)];
+    }
+
+  private:
+    std::array<uint64_t, 3> byCause_{}; ///< indexed by WriteBackCause
+};
+
 /**
  * Lets the first @p k write-backs through, then suppresses every later
  * one: the durable image freezes exactly as if power failed right
  * before event index k. k = 0 freezes immediately; a k at or past the
  * run's event total never fires (equivalent to no crash).
  */
-class CrashAtEvent final : public CrashHook
+class CrashAtEvent final : public TrialHook
 {
   public:
     explicit CrashAtEvent(uint64_t k) : k_(k) {}
@@ -129,7 +120,7 @@ class CrashAtEvent final : public CrashHook
  * kFullLineMask this is bit-identical to CrashAtEvent(batch_start +
  * masks.size()) — the full-subset drain is exactly the prefix freeze.
  */
-class CrashWithDrain final : public CrashHook
+class CrashWithDrain final : public TrialHook
 {
   public:
     CrashWithDrain(uint64_t batch_start, std::vector<uint8_t> masks)

@@ -12,14 +12,16 @@ namespace poat {
 namespace fault {
 
 using detail::checkRecovered;
-using detail::runSteps;
-using detail::StepWindow;
 
 namespace {
 
-/** Counters one media trial contributes; aggregated after the fan-out. */
-struct MediaTrialStats
+/**
+ * Counters one (point, slice) task contributes; aggregated after the
+ * fan-out.
+ */
+struct MediaTaskStats
 {
+    uint64_t sites = 0;
     uint64_t trials = 0;
     uint64_t injected = 0;
     uint64_t repaired = 0;
@@ -136,56 +138,67 @@ siteAllowed(const MediaSite &site, const MediaOptions &opts)
     return true;
 }
 
+/** Media trials run under the Eager policy whatever @p o says. */
+ExploreOptions
+eagerOptions(ExploreOptions o)
+{
+    o.strict = false;
+    return o;
+}
+
 /**
- * One media trial: run to crash point k, inject the fault(s) in @p spec
- * into the frozen durable image, recover, and classify the outcome
- * (repaired / benign / diagnosed / Failure). See media.h.
+ * One crash point k of a media exploration: the workload runs once with
+ * the durable image frozen at event k, power fails, and the crashed,
+ * still intact image is saved and its fault sites enumerated. Every
+ * fault trial at k restores that image.
+ */
+struct MediaPoint : detail::WorkloadRun
+{
+    MediaPoint(const ExploreOptions &o, uint64_t k_,
+               uint64_t expected_events)
+        : WorkloadRun(o), k(k_)
+    {
+        CrashAtEvent hook(k);
+        run(hook, expected_events);
+        rt.registry().crashAll();
+        snap = rt.registry().snapshot();
+        sites = enumerateMediaSites(rt.registry());
+    }
+
+    const uint64_t k;
+    PoolRegistry::Snapshot snap;
+    std::vector<MediaSite> sites;
+};
+
+/**
+ * One media trial at @p p's crash point: restore the crashed image,
+ * inject the fault(s) in @p spec into its durable copy, recover, and
+ * classify the outcome (repaired / benign / diagnosed / Failure). See
+ * media.h.
  */
 void
-runMediaTrial(const ExploreOptions &opts, uint64_t k,
-              const std::string &spec, MediaTrialStats &ts)
+runMediaTrial(MediaPoint &p, const std::string &spec, MediaTaskStats &ts)
 {
-    PmemRuntime rt(detail::trialRuntimeOptions(opts));
-    std::unique_ptr<workloads::CrashDriver> driver =
-        workloads::makeCrashDriver(opts.workload, opts.steps, opts.seed,
-                                   opts.threads, opts.sched_seed);
-    driver->setup(rt);
+    PoolRegistry &reg = p.rt.registry();
+    reg.restore(p.snap);
     ++ts.trials;
 
     auto fail = [&](const std::string &why) {
-        Failure f;
-        f.workload = opts.workload;
-        f.steps = opts.steps;
-        f.seed = opts.seed;
-        f.k = k;
+        Failure f = detail::trialFailure(p.opts, p.k, why);
         f.media = spec;
-        f.evict_num = opts.evict_num;
-        f.evict_den = opts.evict_den;
-        f.sched_seed = opts.sched_seed;
-        f.threads = opts.threads;
-        f.why = why;
         ts.failures.push_back(std::move(f));
     };
 
-    CrashAtEvent crash_hook(k);
-    rt.registry().setDurabilityHook(&crash_hook);
-    const StepWindow w = runSteps(rt, *driver, opts, crash_hook);
-    rt.registry().setDurabilityHook(nullptr);
-    rt.registry().crashAll();
-
-    // Enumerate on the uncorrupted image, then corrupt the durable copy
-    // and crash again so the working image sees it, as a reboot would.
-    const std::vector<MediaSite> sites =
-        enumerateMediaSites(rt.registry());
+    // Corrupt the durable copy, then crash again so the working image
+    // sees it, as a reboot would.
     for (uint64_t f : parseSpec(spec)) {
-        injectFault(rt.registry(), sites, f,
-                    faultSeed(opts.seed, k, f));
+        injectFault(reg, p.sites, f, faultSeed(p.opts.seed, p.k, f));
         ++ts.injected;
     }
-    rt.registry().crashAll();
+    reg.crashAll();
 
     try {
-        rt.registry().recoverAll();
+        reg.recoverAll();
     } catch (const MediaError &) {
         // Fail-stop with a precise diagnostic is a correct outcome for
         // unrepairable corruption — the one wrong answer is no answer.
@@ -198,28 +211,67 @@ runMediaTrial(const ExploreOptions &opts, uint64_t k,
         return;
     }
 
-    if (rt.registry().lastScrubStats().repairs() > 0)
+    if (reg.lastScrubStats().repairs() > 0)
         ++ts.repaired;
     else
         ++ts.benign;
 
     uint64_t leaked = 0;
     std::string why;
-    if (!checkRecovered(rt, *driver, w, &leaked, &why)) {
+    if (!checkRecovered(p.rt, *p.driver, p.w, &leaked, &why)) {
         fail("after media fault: " + why);
         return;
     }
 
     // Idempotence: the repaired image must recover to itself.
     try {
-        rt.registry().recoverAll();
+        reg.recoverAll();
     } catch (const std::runtime_error &e) {
         fail(std::string("second recovery after repair threw: ") +
              e.what());
         return;
     }
-    if (!checkRecovered(rt, *driver, w, &leaked, &why))
+    if (!checkRecovered(p.rt, *p.driver, p.w, &leaked, &why))
         fail("after second recovery: " + why);
+}
+
+/**
+ * The fault specs tried at crash point @p k over @p sites, in trial
+ * order: the chosen single faults, then the seeded doubles. The fault
+ * index space is over ALL sites so reproducers do not depend on the
+ * filters.
+ */
+std::vector<std::string>
+pointTrials(const MediaOptions &opts, uint64_t k,
+            const std::vector<MediaSite> &sites)
+{
+    std::vector<uint64_t> cand;
+    for (size_t i = 0; i < sites.size(); ++i) {
+        if (!siteAllowed(sites[i], opts))
+            continue;
+        cand.push_back(2 * i);
+        cand.push_back(2 * i + 1);
+    }
+    std::vector<std::string> specs;
+    if (cand.empty())
+        return specs;
+
+    for (uint64_t p : detail::choosePoints(
+             cand.size(), opts.sample,
+             opts.base.seed ^ (k * 0xd6e8feb86659fd93ull + 3)))
+        specs.push_back(std::to_string(cand[p]));
+
+    Rng pair_rng(opts.base.seed ^ (k * 0xa0761d6478bd642full + 5));
+    for (uint64_t d = 0; d < opts.doubles; ++d) {
+        const uint64_t a = cand[pair_rng.below(cand.size())];
+        uint64_t b = cand[pair_rng.below(cand.size())];
+        if (cand.size() > 1) {
+            while (b == a)
+                b = cand[pair_rng.below(cand.size())];
+        }
+        specs.push_back(std::to_string(a) + "+" + std::to_string(b));
+    }
+    return specs;
 }
 
 } // namespace
@@ -295,25 +347,12 @@ MediaReport
 exploreMedia(const MediaOptions &opts)
 {
     MediaReport report;
+    const ExploreOptions base = eagerOptions(opts.base);
 
     // ---- profile pass: count the durability events ------------------
-    {
-        PmemRuntime rt(detail::trialRuntimeOptions(opts.base));
-        std::unique_ptr<workloads::CrashDriver> driver =
-            workloads::makeCrashDriver(
-                opts.base.workload, opts.base.steps, opts.base.seed,
-                opts.base.threads, opts.base.sched_seed);
-        driver->setup(rt);
-        EventCounter counter;
-        rt.registry().setDurabilityHook(&counter);
-        Rng evict_rng(detail::evictSeed(opts.base));
-        for (uint64_t i = 0; i < opts.base.steps; ++i) {
-            driver->step(rt, i);
-            detail::maybeEvict(rt, evict_rng, opts.base);
-        }
-        rt.registry().setDurabilityHook(nullptr);
-        report.total_events = counter.total();
-    }
+    EventCounter counter;
+    detail::WorkloadRun(base).run(counter, detail::kNoExpectedEvents);
+    report.total_events = counter.observed();
 
     // ---- crash points -----------------------------------------------
     const uint64_t T = report.total_events;
@@ -331,71 +370,30 @@ exploreMedia(const MediaOptions &opts)
                                        point_set.end());
     report.points = points.size();
 
-    // ---- per-point fault selection ----------------------------------
-    // One clean (uninjected) pass per point enumerates the site table;
-    // the fault index space is over ALL sites so reproducers do not
-    // depend on the filters below.
-    struct Trial
-    {
-        uint64_t k;
-        std::string spec;
-    };
-    std::vector<Trial> trials;
-    for (uint64_t k : points) {
-        PmemRuntime rt(detail::trialRuntimeOptions(opts.base));
-        std::unique_ptr<workloads::CrashDriver> driver =
-            workloads::makeCrashDriver(
-                opts.base.workload, opts.base.steps, opts.base.seed,
-                opts.base.threads, opts.base.sched_seed);
-        driver->setup(rt);
-        CrashAtEvent hook(k);
-        rt.registry().setDurabilityHook(&hook);
-        runSteps(rt, *driver, opts.base, hook);
-        rt.registry().setDurabilityHook(nullptr);
-        rt.registry().crashAll();
-
-        const std::vector<MediaSite> sites =
-            enumerateMediaSites(rt.registry());
-        report.sites += sites.size();
-
-        std::vector<uint64_t> cand;
-        for (size_t i = 0; i < sites.size(); ++i) {
-            if (!siteAllowed(sites[i], opts))
-                continue;
-            cand.push_back(2 * i);
-            cand.push_back(2 * i + 1);
-        }
-        if (cand.empty())
-            continue;
-
-        std::vector<uint64_t> picks = detail::choosePoints(
-            cand.size(), opts.sample,
-            opts.base.seed ^ (k * 0xd6e8feb86659fd93ull + 3));
-        for (uint64_t p : picks)
-            trials.push_back({k, std::to_string(cand[p])});
-
-        Rng pair_rng(opts.base.seed ^
-                     (k * 0xa0761d6478bd642full + 5));
-        for (uint64_t d = 0; d < opts.doubles; ++d) {
-            const uint64_t a = cand[pair_rng.below(cand.size())];
-            uint64_t b = cand[pair_rng.below(cand.size())];
-            if (cand.size() > 1) {
-                while (b == a)
-                    b = cand[pair_rng.below(cand.size())];
-            }
-            trials.push_back({k, std::to_string(a) + "+" +
-                                     std::to_string(b)});
-        }
-    }
-
-    // ---- trial fan-out ----------------------------------------------
-    std::vector<MediaTrialStats> slots(trials.size());
-    driver::runTasks(trials.size(), opts.base.jobs, [&](size_t idx) {
-        runMediaTrial(opts.base, trials[idx].k, trials[idx].spec,
-                      slots[idx]);
+    // ---- trial fan-out over (point, slice) tasks --------------------
+    // Each task runs its point's workload once and takes one contiguous
+    // slice of the point's trial list, restoring the crashed image for
+    // each trial; one slice per worker keeps every worker busy on runs
+    // with few points, and task order keeps the trial order.
+    const size_t slices =
+        opts.base.jobs != 0 ? opts.base.jobs : driver::defaultSweepJobs();
+    std::vector<MediaTaskStats> slots(points.size() * slices);
+    driver::runTasks(slots.size(), opts.base.jobs, [&](size_t idx) {
+        MediaTaskStats &ts = slots[idx];
+        const size_t slice = idx % slices;
+        MediaPoint p(base, points[idx / slices], T);
+        if (slice == 0)
+            ts.sites = p.sites.size();
+        const std::vector<std::string> specs =
+            pointTrials(opts, p.k, p.sites);
+        for (size_t i = specs.size() * slice / slices;
+             i < specs.size() * (slice + 1) / slices; ++i)
+            runMediaTrial(p, specs[i], ts);
     });
 
-    for (const MediaTrialStats &ts : slots) {
+    report.workload_runs = 1 + slots.size(); // profile + one per task
+    for (const MediaTaskStats &ts : slots) {
+        report.sites += ts.sites;
         report.trials += ts.trials;
         report.injected += ts.injected;
         report.repaired += ts.repaired;
@@ -411,8 +409,10 @@ std::vector<Failure>
 replayMediaTrial(const ExploreOptions &opts, uint64_t k,
                  const std::string &spec)
 {
-    MediaTrialStats ts;
-    runMediaTrial(opts, k, spec, ts);
+    const ExploreOptions base = eagerOptions(opts);
+    MediaPoint p(base, k, detail::kNoExpectedEvents);
+    MediaTaskStats ts;
+    runMediaTrial(p, spec, ts);
     return ts.failures;
 }
 

@@ -6,9 +6,11 @@
  * any *power-failure* image; this explorer proves recovery also
  * survives the images NVM itself damages at rest — latent bit flips and
  * torn 64-byte lines. For each chosen crash point k it freezes the
- * durable image exactly as a crash trial would, then corrupts one (or
- * two) checksummed on-media structures and requires recovery to end in
- * one of exactly three states:
+ * durable image exactly as a crash trial would (the same workload run,
+ * event contract included), saves the crashed image, and then for each
+ * trial restores it, corrupts one (or two) checksummed on-media
+ * structures and requires recovery to end in one of exactly three
+ * states:
  *
  *   repaired  — the scrub pass fixed the corruption (mirror resync,
  *               dead-snapshot reseal, or block-header rebuild) and every
@@ -129,6 +131,14 @@ struct MediaReport
     uint64_t repaired = 0;     ///< trials the scrub pass repaired
     uint64_t diagnosed = 0;    ///< trials that fail-stopped (MediaError)
     uint64_t benign = 0;       ///< trials where scrub found nothing
+    /**
+     * Workload runs (setup plus every step) the exploration executed:
+     * the profile pass and one per (crash point, trial slice) task,
+     * where the slice count is the resolved job count. Trials restore
+     * their task's crashed image instead. Host-side cost accounting;
+     * not published.
+     */
+    uint64_t workload_runs = 0;
     std::vector<Failure> failures;
 
     bool ok() const { return failures.empty(); }
@@ -138,10 +148,10 @@ struct MediaReport
 };
 
 /**
- * Profile, then for each crash point inject each chosen fault into a
- * freshly frozen image and classify recovery; deterministic for fixed
- * options within one build. Workload or driver errors (as opposed to
- * invariant violations) propagate as exceptions.
+ * Profile, then for each crash point inject each chosen fault into the
+ * point's frozen image and classify recovery; deterministic for fixed
+ * options within one build, whatever the job count. Workload or driver
+ * errors (as opposed to invariant violations) propagate as exceptions.
  */
 MediaReport exploreMedia(const MediaOptions &opts);
 

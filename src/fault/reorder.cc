@@ -11,7 +11,7 @@ namespace fault {
 bool
 DrainProbe::onWriteBack(Pool &pool, uint32_t line, WriteBackCause cause)
 {
-    const uint64_t idx = total_++;
+    const uint64_t idx = observed_++;
     if (cause == WriteBackCause::Fence && fenceLeft_ > 0 &&
         pool.id() == fencePool_) {
         // Continuation of the announced drain: append to its batch.
@@ -43,7 +43,7 @@ DrainProbe::onFenceDrainBegin(Pool &pool,
     // lands on a real event index; announce only arms the grouping.
     if (!pending.empty()) {
         DrainBatch b;
-        b.start = total_;
+        b.start = observed_;
         b.pool_id = pool.id();
         b.cause = WriteBackCause::Fence;
         batches_.push_back(std::move(b));

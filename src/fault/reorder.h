@@ -12,10 +12,11 @@
  * writing at 8-byte-word granularity. This module enumerates that
  * per-event crash-state space:
  *
- *  1. A probe pass runs the workload under DrainProbe, which records
- *     every durability event and groups the fence-retired ones into
- *     batches (Pool::fence announces each drain via onFenceDrainBegin;
- *     CLWB and eviction write-backs are singleton batches).
+ *  1. The explorer's profile pass runs the workload under DrainProbe,
+ *     which records every durability event and groups the
+ *     fence-retired ones into batches (Pool::fence announces each drain
+ *     via onFenceDrainBegin; CLWB and eviction write-backs are
+ *     singleton batches).
  *  2. For each batch [b, b+n) the explorer plans CrashWithDrain trials:
  *     every proper, non-empty subset of the batch when 2^n - 2 fits the
  *     exhaustive bound, a seeded sample of subsets otherwise, plus torn
@@ -62,7 +63,7 @@ struct DrainBatch
  * fence-drain batches (see file comment). Non-interfering: every
  * write-back proceeds.
  */
-class DrainProbe final : public DurabilityHook
+class DrainProbe final : public TrialHook
 {
   public:
     bool onWriteBack(Pool &pool, uint32_t line,
@@ -70,14 +71,11 @@ class DrainProbe final : public DurabilityHook
     void onFenceDrainBegin(Pool &pool,
                            const std::vector<uint32_t> &pending) override;
 
+    /** observed() events in all, == the sum of batch sizes. */
     const std::vector<DrainBatch> &batches() const { return batches_; }
-
-    /** Total durability events observed (== sum of batch sizes). */
-    uint64_t total() const { return total_; }
 
   private:
     std::vector<DrainBatch> batches_;
-    uint64_t total_ = 0;
     uint32_t fencePool_ = 0; ///< pool of the announced drain
     uint64_t fenceLeft_ = 0; ///< events remaining in the announced drain
 };

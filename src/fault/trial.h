@@ -1,15 +1,17 @@
 /**
  * @file
  * Shared trial machinery for the crash-point and media-fault explorers
- * (internal to src/fault/): deterministic step running under a
- * durability hook, the recovered-state invariant checks, and seeded
- * point selection. Both explorers must agree on these bit-for-bit or a
- * reproducer from one would replay differently in the other.
+ * (internal to src/fault/): the one workload run (WorkloadRun) under a
+ * durability hook, the failure record every trial fills, the
+ * recovered-state invariant checks, and seeded point selection. Both
+ * explorers must agree on these bit-for-bit or a reproducer from one
+ * would replay differently in the other.
  */
 #ifndef POAT_FAULT_TRIAL_H
 #define POAT_FAULT_TRIAL_H
 
 #include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -46,9 +48,9 @@ evictSeed(const ExploreOptions &opts)
 }
 
 /**
- * Runtime options for one trial: concurrent workloads need one undo-log
- * slot per engine worker (the drivers default to 2 when opts.threads is
- * 0, so the slot count must match that default).
+ * Runtime options for one workload run: concurrent workloads need one
+ * undo-log slot per engine worker (the drivers default to 2 when
+ * opts.threads is 0, so the slot count must match that default).
  */
 inline RuntimeOptions
 trialRuntimeOptions(const ExploreOptions &opts)
@@ -71,8 +73,9 @@ maybeEvict(PmemRuntime &rt, Rng &rng, const ExploreOptions &opts)
 }
 
 /**
- * Sentinel for "no profiled event count to check against" (replay of a
- * reproducer string runs without a profile pass).
+ * Sentinel for "no profiled event count to check against" (the profile
+ * pass itself, and replay of a reproducer string, which runs without
+ * one).
  */
 constexpr uint64_t kNoExpectedEvents = UINT64_MAX;
 
@@ -96,30 +99,85 @@ checkEventContract(uint64_t observed, uint64_t expected)
 }
 
 /**
- * Run all workload steps with @p hook installed, attributing the first
- * suppressed write-back to the step (or eviction pass) it fired in.
+ * One run of the workload: the profile pass, and the first part of
+ * every trial that does not restore a crashed image. A fresh runtime
+ * (under the Strict policy when opts.strict) and driver run setup, then
+ * every step with a hook installed, each step followed by the eviction
+ * pass. The only place src/fault/ makes a CrashDriver.
  */
-inline StepWindow
-runSteps(PmemRuntime &rt, workloads::CrashDriver &driver,
-         const ExploreOptions &opts, const CrashHook &hook)
+struct WorkloadRun
 {
-    Rng evict_rng(evictSeed(opts));
-    StepWindow w{opts.steps, opts.steps};
-    bool attributed = false;
-    for (uint64_t i = 0; i < opts.steps; ++i) {
-        driver.step(rt, i);
-        if (!attributed && hook.fired()) {
-            w.lo = i;
-            w.hi = i + 1;
-            attributed = true;
-        }
-        maybeEvict(rt, evict_rng, opts);
-        if (!attributed && hook.fired()) {
-            w.lo = w.hi = i + 1;
-            attributed = true;
-        }
+    explicit WorkloadRun(const ExploreOptions &o)
+        : opts(o), rt(trialRuntimeOptions(o))
+    {
     }
-    return w;
+
+    /**
+     * Run the workload under @p hook, attributing the first suppressed
+     * write-back to the step (or eviction pass) it fired in, and check
+     * the event contract.
+     *
+     * @param expected_events Profile-pass event total; the run must
+     *        observe exactly this many durability events (see
+     *        checkEventContract) or the whole exploration aborts.
+     *        kNoExpectedEvents on the profile pass and the replay path.
+     */
+    void
+    run(TrialHook &hook, uint64_t expected_events)
+    {
+        PoolRegistry &reg = rt.registry();
+        if (opts.strict)
+            reg.setDurabilityPolicy(DurabilityPolicy::Strict);
+        driver = workloads::makeCrashDriver(opts.workload, opts.steps,
+                                            opts.seed, opts.threads,
+                                            opts.sched_seed);
+        driver->setup(rt);
+        reg.setDurabilityHook(&hook);
+        Rng evict_rng(evictSeed(opts));
+        w = {opts.steps, opts.steps};
+        bool attributed = false;
+        for (uint64_t i = 0; i < opts.steps; ++i) {
+            driver->step(rt, i);
+            if (!attributed && hook.fired()) {
+                w = {i, i + 1};
+                attributed = true;
+            }
+            maybeEvict(rt, evict_rng, opts);
+            if (!attributed && hook.fired()) {
+                w = {i + 1, i + 1};
+                attributed = true;
+            }
+        }
+        reg.setDurabilityHook(nullptr);
+        checkEventContract(hook.observed(), expected_events);
+    }
+
+    const ExploreOptions &opts;
+    PmemRuntime rt;
+    std::unique_ptr<workloads::CrashDriver> driver;
+    StepWindow w;
+};
+
+/**
+ * A failure of the trial at crash point @p k of @p opts's workload,
+ * with the fields every failure shares; the caller adds the trial's own
+ * (recovery-crash stack, drain masks and diagnostics, or media fault).
+ */
+inline Failure
+trialFailure(const ExploreOptions &opts, uint64_t k, const std::string &why)
+{
+    Failure f;
+    f.workload = opts.workload;
+    f.steps = opts.steps;
+    f.seed = opts.seed;
+    f.k = k;
+    f.strict = opts.strict;
+    f.evict_num = opts.evict_num;
+    f.evict_den = opts.evict_den;
+    f.sched_seed = opts.sched_seed;
+    f.threads = opts.threads;
+    f.why = why;
+    return f;
 }
 
 /**

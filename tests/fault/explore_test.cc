@@ -44,7 +44,7 @@ TEST(Injector, EventCounterCountsByCause)
     pool.setDurabilityHook(&counter);
     pool.writeAs<uint64_t>(4096, 1);
     pool.persist(4096, 8);
-    EXPECT_EQ(counter.total(), 1u);
+    EXPECT_EQ(counter.observed(), 1u);
     EXPECT_EQ(counter.count(WriteBackCause::Clwb), 1u);
     EXPECT_EQ(counter.count(WriteBackCause::Evict), 0u);
     pool.setDurabilityHook(nullptr);
@@ -390,20 +390,26 @@ TEST(Explore, SharedPrefixKeepsReport)
     // In-recovery trials now restore their outer point's crashed images
     // instead, which must not move a single counter at any job count.
     // The first two rows are the crash_btree benchmark's batch shape;
-    // the third recurses three levels deep over every crash point.
+    // the third recurses three levels deep over every crash point; the
+    // fourth takes its event causes and drain batches from the one
+    // profile pass and adds the reorder trials.
     struct Case
     {
         const char *workload;
         uint64_t steps, seed, sample, depth, inner_cap;
+        bool strict, reorder;
         std::vector<uint64_t> want;
     };
     const Case cases[] = {
-        {"B+T", 50, 42, 8, 2, 4,
+        {"B+T", 50, 42, 8, 2, 4, false, false,
          {941, 941, 0, 0, 8, 90, 256, 198, 0, 0, 0, 0, 2}},
-        {"LL", 50, 42, 8, 2, 4,
+        {"LL", 50, 42, 8, 2, 4, false, false,
          {925, 925, 0, 0, 8, 35, 101, 33, 0, 0, 0, 0, 2}},
-        {"RBT", 8, 1, 0, 3, 0,
+        {"RBT", 8, 1, 0, 3, 0, false, false,
          {173, 173, 0, 0, 173, 26196, 99824, 89836, 60, 0, 0, 0, 3}},
+        {"LL", 30, 1, 0, 1, 0, true, true,
+         {556, 0, 556, 0, 556, 1703, 11806, 11676, 315, 0, 7844, 7784,
+          1}},
     };
     for (const Case &c : cases) {
         for (unsigned jobs : {1u, 4u}) {
@@ -414,13 +420,17 @@ TEST(Explore, SharedPrefixKeepsReport)
             o.sample = c.sample;
             o.depth = c.depth;
             o.inner_cap = c.inner_cap;
+            o.strict = c.strict;
+            o.reorder = c.reorder;
             o.jobs = jobs;
             const ExploreReport rep = fault::explore(o);
             EXPECT_EQ(counters(rep), c.want)
                 << c.workload << " jobs=" << jobs;
             EXPECT_TRUE(rep.ok()) << firstFailure(rep);
-            // The profile pass plus one run per outer crash point.
-            EXPECT_EQ(rep.workload_runs, rep.trials + 1)
+            // The one profile pass plus one run per outer crash point
+            // and per reorder trial.
+            EXPECT_EQ(rep.workload_runs,
+                      rep.trials + rep.reorder_states + 1)
                 << c.workload << " jobs=" << jobs;
         }
     }

@@ -10,6 +10,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "fault/media.h"
@@ -229,6 +230,50 @@ TEST(Media, PublishExportsCounters)
     EXPECT_GT(stats.counter("fault.media.trials"), 0u);
     EXPECT_GT(stats.counter("fault.media.repaired"), 0u);
     EXPECT_EQ(stats.counter("fault.media.failures"), 0u);
+}
+
+TEST(Media, RestoredTrialsKeepReport)
+{
+    // Reports of explorations that re-ran the workload for every media
+    // trial. Trials now restore their point's crashed image, one
+    // workload run per (point, slice) task, which must not move a
+    // single counter or failure at any job count.
+    struct Case
+    {
+        const char *workload;
+        uint64_t steps, sample, doubles;
+        uint32_t threads;
+        uint64_t sched_seed;
+        std::vector<uint64_t> want; ///< events .. benign
+    };
+    const Case cases[] = {
+        {"B+T", 20, 0, 8, 0, 0, {384, 5, 49, 138, 178, 84, 54, 0}},
+        {"LHT", 6, 40, 4, 3, 1, {275, 5, 49, 118, 138, 85, 33, 0}},
+    };
+    for (const Case &c : cases) {
+        for (unsigned jobs : {1u, 4u}) {
+            MediaOptions o;
+            o.base.workload = c.workload;
+            o.base.steps = c.steps;
+            o.base.threads = c.threads;
+            o.base.sched_seed = c.sched_seed;
+            o.base.jobs = jobs;
+            o.sample = c.sample;
+            o.doubles = c.doubles;
+            const MediaReport rep = fault::exploreMedia(o);
+            const std::vector<uint64_t> got = {
+                rep.total_events, rep.points,   rep.sites,
+                rep.trials,       rep.injected, rep.repaired,
+                rep.diagnosed,    rep.benign};
+            EXPECT_EQ(got, c.want) << c.workload << " jobs=" << jobs;
+            EXPECT_TRUE(rep.failures.empty()) << firstFailure(rep);
+            if (jobs == 1) {
+                // The profile pass plus one run per crash point.
+                EXPECT_EQ(rep.workload_runs, rep.points + 1)
+                    << c.workload;
+            }
+        }
+    }
 }
 
 // ---- self-contained reproducers --------------------------------------

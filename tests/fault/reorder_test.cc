@@ -79,7 +79,7 @@ TEST(Reorder, DrainProbeGroupsFenceBatches)
     EXPECT_EQ(b0.lines, want);
     EXPECT_EQ(probe.batches()[1].start, 3u);
     EXPECT_EQ(probe.batches()[1].size(), 1u);
-    EXPECT_EQ(probe.total(), 4u);
+    EXPECT_EQ(probe.observed(), 4u);
 }
 
 /** Captures what the fence announces vs what the pool had staged. */

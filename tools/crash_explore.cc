@@ -37,31 +37,14 @@ using poat::fault::MediaOptions;
 
 struct Args
 {
-    std::string workload = "B+T"; ///< abbreviation or "all"
-    uint64_t steps = 50;
-    uint64_t seed = 1;
-    uint64_t sample = 0; ///< 0 = exhaustive
-    unsigned jobs = 0;
-    bool in_recovery = true;
-    uint64_t inner_cap = 0;
-    uint64_t depth = 2;        ///< recovery levels that may crash
-    bool reorder = false;      ///< drain-subset + torn-line states
-    uint64_t drain_bound = 6;  ///< exhaustive-subset batch size cap
-    uint64_t drain_sample = 32; ///< sampled subsets per bigger batch
-    bool strict = false;       ///< run under the Strict policy
-    uint64_t evict_num = 0;
-    uint64_t evict_den = 8;
-    uint32_t threads = 0;   ///< engine workers (LHT/MTPCC); 0 = default
-    uint64_t sched_seed = 0; ///< scheduler interleaving seed (tSEED)
+    /**
+     * Every exploration option; opts.base holds the crash explorer's,
+     * whose workload may also be "all".
+     */
+    MediaOptions opts;
     std::string repro; ///< replay one trial instead of exploring
     bool dump_stats = false;
-
     bool media = false; ///< media-fault mode (fault/media.h)
-    std::vector<uint64_t> media_points; ///< empty = default spread
-    uint64_t media_sample = 0;          ///< 0 = exhaustive
-    uint64_t doubles = 0;               ///< double-fault trials per point
-    std::string media_kinds;            ///< empty = all structure kinds
-    int block_filter = 0;               ///< 0 any, 1 alloc'd, 2 free
 };
 
 void
@@ -133,37 +116,69 @@ parseU64(const std::string &arg, const std::string &value)
     return v;
 }
 
+/** "--media-kinds" CSV -> structure kinds; throws on an unknown kind. */
+std::vector<poat::MediaStructure>
+parseKinds(const std::string &csv)
+{
+    std::vector<poat::MediaStructure> kinds;
+    std::string cur;
+    for (char c : csv + ",") {
+        if (c != ',') {
+            cur += c;
+            continue;
+        }
+        if (cur.empty())
+            continue;
+        if (cur == "superblock")
+            kinds.push_back(poat::MediaStructure::Superblock);
+        else if (cur == "log-header")
+            kinds.push_back(poat::MediaStructure::LogHeader);
+        else if (cur == "log-entry")
+            kinds.push_back(poat::MediaStructure::LogEntry);
+        else if (cur == "block-header")
+            kinds.push_back(poat::MediaStructure::BlockHeader);
+        else
+            throw std::invalid_argument(
+                "bad value for --media-kinds: '" + cur +
+                "' (expected superblock, log-header, log-entry, or "
+                "block-header)");
+        cur.clear();
+    }
+    return kinds;
+}
+
 Args
 parseArgs(int argc, char **argv)
 {
     Args a;
+    ExploreOptions &b = a.opts.base;
     for (int i = 1; i < argc; ++i) {
         const std::string s = argv[i];
         auto value = [&](size_t prefix) { return s.substr(prefix); };
         if (s.rfind("--workload=", 0) == 0) {
-            a.workload = value(11);
+            b.workload = value(11);
         } else if (s.rfind("--steps=", 0) == 0) {
-            a.steps = parseU64("--steps", value(8));
+            b.steps = parseU64("--steps", value(8));
         } else if (s.rfind("--seed=", 0) == 0) {
-            a.seed = parseU64("--seed", value(7));
+            b.seed = parseU64("--seed", value(7));
         } else if (s.rfind("--sample=", 0) == 0) {
-            a.sample = parseU64("--sample", value(9));
+            b.sample = parseU64("--sample", value(9));
         } else if (s.rfind("--jobs=", 0) == 0) {
-            a.jobs = static_cast<unsigned>(parseU64("--jobs", value(7)));
+            b.jobs = static_cast<unsigned>(parseU64("--jobs", value(7)));
         } else if (s == "--no-in-recovery") {
-            a.in_recovery = false;
+            b.in_recovery = false;
         } else if (s.rfind("--inner-cap=", 0) == 0) {
-            a.inner_cap = parseU64("--inner-cap", value(12));
+            b.inner_cap = parseU64("--inner-cap", value(12));
         } else if (s.rfind("--depth=", 0) == 0) {
-            a.depth = parseU64("--depth", value(8));
+            b.depth = parseU64("--depth", value(8));
         } else if (s == "--reorder") {
-            a.reorder = true;
+            b.reorder = true;
         } else if (s.rfind("--drain-bound=", 0) == 0) {
-            a.drain_bound = parseU64("--drain-bound", value(14));
+            b.drain_bound = parseU64("--drain-bound", value(14));
         } else if (s.rfind("--drain-sample=", 0) == 0) {
-            a.drain_sample = parseU64("--drain-sample", value(15));
+            b.drain_sample = parseU64("--drain-sample", value(15));
         } else if (s == "--strict") {
-            a.strict = true;
+            b.strict = true;
         } else if (s.rfind("--evict=", 0) == 0) {
             const std::string v = value(8);
             const size_t slash = v.find('/');
@@ -171,17 +186,17 @@ parseArgs(int argc, char **argv)
                 throw std::invalid_argument(
                     "bad value for --evict: '" + v +
                     "' (expected NUM/DEN)");
-            a.evict_num = parseU64("--evict", v.substr(0, slash));
-            a.evict_den = parseU64("--evict", v.substr(slash + 1));
-            if (a.evict_den == 0 || a.evict_num > a.evict_den)
+            b.evict_num = parseU64("--evict", v.substr(0, slash));
+            b.evict_den = parseU64("--evict", v.substr(slash + 1));
+            if (b.evict_den == 0 || b.evict_num > b.evict_den)
                 throw std::invalid_argument(
                     "bad value for --evict: '" + v +
                     "' (need 0 <= NUM <= DEN, DEN > 0)");
         } else if (s.rfind("--threads=", 0) == 0) {
-            a.threads =
+            b.threads =
                 static_cast<uint32_t>(parseU64("--threads", value(10)));
         } else if (s.rfind("--tseed=", 0) == 0) {
-            a.sched_seed = parseU64("--tseed", value(8));
+            b.sched_seed = parseU64("--tseed", value(8));
         } else if (s.rfind("--repro=", 0) == 0) {
             a.repro = value(8);
         } else if (s == "--media") {
@@ -191,7 +206,7 @@ parseArgs(int argc, char **argv)
             for (char c : value(15) + ",") {
                 if (c == ',') {
                     if (!cur.empty())
-                        a.media_points.push_back(
+                        a.opts.points.push_back(
                             parseU64("--media-points", cur));
                     cur.clear();
                 } else {
@@ -199,19 +214,19 @@ parseArgs(int argc, char **argv)
                 }
             }
         } else if (s.rfind("--media-sample=", 0) == 0) {
-            a.media_sample = parseU64("--media-sample", value(15));
+            a.opts.sample = parseU64("--media-sample", value(15));
         } else if (s.rfind("--doubles=", 0) == 0) {
-            a.doubles = parseU64("--doubles", value(10));
+            a.opts.doubles = parseU64("--doubles", value(10));
         } else if (s.rfind("--media-kinds=", 0) == 0) {
-            a.media_kinds = value(14);
+            a.opts.kinds = parseKinds(value(14));
         } else if (s.rfind("--media-blocks=", 0) == 0) {
             const std::string v = value(15);
             if (v == "any")
-                a.block_filter = 0;
+                a.opts.block_filter = 0;
             else if (v == "allocated")
-                a.block_filter = 1;
+                a.opts.block_filter = 1;
             else if (v == "free")
-                a.block_filter = 2;
+                a.opts.block_filter = 2;
             else
                 throw std::invalid_argument(
                     "bad value for --media-blocks: '" + v +
@@ -225,90 +240,40 @@ parseArgs(int argc, char **argv)
             throw std::invalid_argument("unknown argument: " + s);
         }
     }
-    if (a.media && (a.reorder || a.strict))
+    if (a.media && (b.reorder || b.strict))
         throw std::invalid_argument(
             "--media cannot combine with --reorder or --strict "
             "(media trials run under the Eager policy)");
     return a;
 }
 
-ExploreOptions
-toOptions(const Args &a, const std::string &workload)
-{
-    ExploreOptions opts;
-    opts.workload = workload;
-    opts.steps = a.steps;
-    opts.seed = a.seed;
-    opts.sample = a.sample;
-    opts.jobs = a.jobs;
-    opts.in_recovery = a.in_recovery;
-    opts.inner_cap = a.inner_cap;
-    opts.depth = a.depth;
-    opts.reorder = a.reorder;
-    opts.drain_bound = a.drain_bound;
-    opts.drain_sample = a.drain_sample;
-    opts.strict = a.strict;
-    opts.evict_num = a.evict_num;
-    opts.evict_den = a.evict_den;
-    opts.threads = a.threads;
-    opts.sched_seed = a.sched_seed;
-    return opts;
-}
-
+/** The options of one workload's exploration ("all" runs each). */
 MediaOptions
-toMediaOptions(const Args &a, const std::string &workload)
+forWorkload(const Args &a, const std::string &workload)
 {
-    MediaOptions m;
-    m.base = toOptions(a, workload);
-    m.points = a.media_points;
-    m.sample = a.media_sample;
-    m.doubles = a.doubles;
-    m.block_filter = a.block_filter;
-    std::string cur;
-    for (char c : a.media_kinds + ",") {
-        if (c != ',') {
-            cur += c;
-            continue;
-        }
-        if (cur.empty())
-            continue;
-        if (cur == "superblock")
-            m.kinds.push_back(poat::MediaStructure::Superblock);
-        else if (cur == "log-header")
-            m.kinds.push_back(poat::MediaStructure::LogHeader);
-        else if (cur == "log-entry")
-            m.kinds.push_back(poat::MediaStructure::LogEntry);
-        else if (cur == "block-header")
-            m.kinds.push_back(poat::MediaStructure::BlockHeader);
-        else
-            throw std::invalid_argument(
-                "bad value for --media-kinds: '" + cur +
-                "' (expected superblock, log-header, log-entry, or "
-                "block-header)");
-        cur.clear();
-    }
+    MediaOptions m = a.opts;
+    m.base.workload = workload;
     return m;
 }
 
 /**
- * Host wall time since @p t0 and trial throughput, on stderr: not part
- * of the deterministic output. @p workload_runs, when nonzero, is how
- * many times the workload ran to serve those trials.
+ * Host wall time since @p t0, trial throughput, and how many times the
+ * workload ran to serve those trials, on stderr: not part of the
+ * deterministic output.
  */
 void
 printHost(std::chrono::steady_clock::time_point t0, uint64_t trials,
-          uint64_t workload_runs = 0)
+          uint64_t workload_runs)
 {
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
     std::fflush(stdout);
-    std::fprintf(stderr, "      host: %.2f s, %.0f trials/s", wall_s,
-                 wall_s > 0 ? static_cast<double>(trials) / wall_s : 0.0);
-    if (workload_runs != 0)
-        std::fprintf(stderr, ", %llu workload runs",
-                     static_cast<unsigned long long>(workload_runs));
-    std::fprintf(stderr, "\n");
+    std::fprintf(stderr,
+                 "      host: %.2f s, %.0f trials/s, %llu workload runs\n",
+                 wall_s,
+                 wall_s > 0 ? static_cast<double>(trials) / wall_s : 0.0,
+                 static_cast<unsigned long long>(workload_runs));
 }
 
 /** Media-fault explore one workload; returns the number of failures. */
@@ -316,7 +281,7 @@ size_t
 exploreMediaOne(const Args &a, const std::string &workload,
                 poat::StatsRegistry &stats)
 {
-    const MediaOptions opts = toMediaOptions(a, workload);
+    const MediaOptions opts = forWorkload(a, workload);
     const auto t0 = std::chrono::steady_clock::now();
     const poat::fault::MediaReport rep = poat::fault::exploreMedia(opts);
     rep.publish(stats);
@@ -344,7 +309,7 @@ exploreMediaOne(const Args &a, const std::string &workload,
             std::printf("           diag: %s\n", f.diag.c_str());
     }
     std::printf("      %s\n", rep.ok() ? "PASS" : "FAIL");
-    printHost(t0, rep.trials);
+    printHost(t0, rep.trials, rep.workload_runs);
     return rep.failures.size();
 }
 
@@ -353,7 +318,7 @@ size_t
 exploreOne(const Args &a, const std::string &workload,
            poat::StatsRegistry &stats)
 {
-    const ExploreOptions opts = toOptions(a, workload);
+    const ExploreOptions opts = forWorkload(a, workload).base;
     const auto t0 = std::chrono::steady_clock::now();
     const poat::fault::ExploreReport rep = poat::fault::explore(opts);
     rep.publish(stats);
@@ -420,8 +385,7 @@ main(int argc, char **argv)
     try {
         if (!a.repro.empty()) {
             const std::vector<poat::fault::Failure> fails =
-                poat::fault::replayRepro(a.repro,
-                                         toOptions(a, a.workload));
+                poat::fault::replayRepro(a.repro, a.opts.base);
             if (fails.empty()) {
                 std::printf("repro %s: PASS (does not reproduce)\n",
                             a.repro.c_str());
@@ -437,10 +401,10 @@ main(int argc, char **argv)
         }
 
         std::vector<std::string> workloads;
-        if (a.workload == "all")
+        if (a.opts.base.workload == "all")
             workloads = poat::workloads::crashWorkloadNames();
         else
-            workloads.push_back(a.workload);
+            workloads.push_back(a.opts.base.workload);
 
         poat::StatsRegistry stats;
         size_t failures = 0;
